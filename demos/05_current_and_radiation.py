@@ -32,7 +32,7 @@ rng = np.random.default_rng(4)
 psi = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
 pair = spinor_to_pair(psi)
 sample = current_sample(psi, pair)
-_, from_blocks = block_current(pair)
+from_blocks = block_current(pair)
 
 print("current of a random amplitude, three pipelines:")
 print("  column bilinears (Euclidean):", np.round(sample.euclidean, 6))

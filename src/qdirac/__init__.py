@@ -22,11 +22,8 @@ from .quaternion import (
     ZERO,
     Quat,
     SingularQuaternion,
-    conjugate,
     dot,
     from_matrix,
-    modulus_inverse,
-    temporal_spatial_split,
     to_matrix,
 )
 from .spinor_maps import (
@@ -43,12 +40,9 @@ from .spinor_maps import (
 from .blocks import (
     Reflector,
     Rotator,
-    block_conj,
     block_power,
-    block_trace,
     identity_rotator,
     similarity,
-    temporal_of,
 )
 from .transforms import (
     ROTATION_PATTERNS,
@@ -88,7 +82,6 @@ from .dirac import (
 )
 from .current import (
     CovarianceReport,
-    CurrentBlocks,
     CurrentSample,
     LightlikeMode,
     NotASolution,

@@ -16,14 +16,11 @@ statement inherited by the 4x4 scalar trace.
 
 from __future__ import annotations
 
-from .quaternion import Quat, conjugate
+from .quaternion import Quat
 
 __all__ = [
     "Reflector",
     "Rotator",
-    "block_conj",
-    "block_trace",
-    "temporal_of",
     "similarity",
     "block_power",
     "identity_rotator",
@@ -85,13 +82,16 @@ class _Block:
             return type(self)(self.upper * other, self.lower * other)
         return NotImplemented
 
-    def conj(self, kind: str = "quat"):
-        """Entrywise conjugation of the chosen flavour; shape is preserved."""
-        return type(self)(
-            conjugate(self.upper, kind), conjugate(self.lower, kind)
-        )
+    def quat_conj(self):
+        """Entrywise quaternion conjugation; shape is preserved."""
+        return type(self)(self.upper.quat_conj(), self.lower.quat_conj())
+
+    def complex_conj(self):
+        """Entrywise complex conjugation; shape is preserved."""
+        return type(self)(self.upper.complex_conj(), self.lower.complex_conj())
 
     def temporal(self):
+        """Replace each block by its temporal part."""
         return type(self)(self.upper.temporal_part(), self.lower.temporal_part())
 
     def max_abs(self) -> float:
@@ -114,6 +114,7 @@ class Rotator(_Block):
         return Rotator(self.upper.inverse(), self.lower.inverse())
 
     def trace(self) -> Quat:
+        """Sum of the diagonal quaternion blocks."""
         return self.upper + self.lower
 
 
@@ -133,21 +134,8 @@ class Reflector(_Block):
         return Reflector(self.lower.inverse(), self.upper.inverse())
 
     def trace(self) -> Quat:
+        """The trace of any reflector is zero."""
         return Quat()
-
-
-def block_conj(x: _Block, kind: str = "quat") -> _Block:
-    return x.conj(kind)
-
-
-def block_trace(x: _Block) -> Quat:
-    """Sum of diagonal quaternion blocks; zero for any reflector."""
-    return x.trace()
-
-
-def temporal_of(x: _Block) -> _Block:
-    """Replace each block by its temporal part."""
-    return x.temporal()
 
 
 def identity_rotator() -> Rotator:
@@ -155,13 +143,13 @@ def identity_rotator() -> Rotator:
 
 
 def similarity(x: _Block, r: Rotator) -> _Block:
-    """Return r * x * r.conj('quat'); r must have invertible blocks."""
+    """Return r * x * r.quat_conj(); r must have invertible blocks."""
     if not isinstance(r, Rotator):
         raise TypeError("similarity transforms are taken with rotators")
     # verify invertibility loudly, propagating SingularQuaternion
     r.upper.inverse()
     r.lower.inverse()
-    return r * x * r.conj("quat")
+    return r * x * r.quat_conj()
 
 
 def block_power(r: Rotator, n: int) -> Rotator:

@@ -1,8 +1,9 @@
 """Command-line entry point for the verification suites.
 
-Exit codes: 0 when every case passes, 1 when any case fails, 2 for usage
-or configuration errors.  The JSON report is a single object on stdout;
-diagnostics go to stderr.
+Exit codes: 0 when every case passes, 1 when any case fails (an exception
+inside a case counts as a failed case), 2 for usage or configuration
+errors, such as a non-finite ``--tol`` or an empty ``--n``.  The JSON
+report is a single object on stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=1e-10,
-        help="tolerance knob; case tolerances scale with tol/1e-10 (default 1e-10)",
+        help="tolerance knob; residual tolerances scale with tol/1e-10, guard and "
+        "convergence-order tolerances do not (default 1e-10)",
     )
     verify.add_argument(
         "--n",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import Reflector, Rotator, block_power
+from .blocks import Reflector, block_power
 from .dirac import BispinorPair, FieldData, PlaneWaveMode, momentum_symbol, pair_residual
 from .quaternion import BASIS, Quat
 from .spinor_maps import SIGMA
@@ -35,7 +35,6 @@ __all__ = [
     "NotASolution",
     "LightlikeMode",
     "CurrentSample",
-    "CurrentBlocks",
     "RadiationMode",
     "PlaneWaveField",
     "CovarianceReport",
@@ -70,18 +69,6 @@ class CurrentSample:
     quat: Quat             # components assembled on the quaternion basis
 
 
-@dataclass(frozen=True)
-class CurrentBlocks:
-    """Reflector factors whose product traces to one current component."""
-
-    mu: int
-    k: Reflector
-    phi_s: Reflector
-    i_mu: Reflector
-    j_rot: Rotator
-    value: complex
-
-
 def spinor_current(psi) -> np.ndarray:
     """(psi^H psi, psi^H alpha_r psi) for a 4-column amplitude; real output."""
     psi = np.asarray(psi, dtype=complex)
@@ -96,13 +83,18 @@ def spinor_current(psi) -> np.ndarray:
     return j
 
 
-def pair_current(pair: BispinorPair) -> np.ndarray:
-    """Current components from the quaternion bispinors directly."""
-    phi1, phi2 = pair.phi1, pair.phi2
-    h1, h2 = phi1.herm_conj(), phi2.herm_conj()
+def pair_current(pair: BispinorPair, other: BispinorPair | None = None) -> np.ndarray:
+    """Current components from the quaternion bispinors directly.
+
+    With ``other`` given, the same bilinear with ``pair`` on the daggered
+    side and ``other`` on the plain side: the coefficient of the cross term
+    between two modes in the current of their superposition.
+    """
+    other = pair if other is None else other
+    h1, h2 = pair.phi1.herm_conj(), pair.phi2.herm_conj()
     out = np.empty(4, dtype=complex)
     for mu, basis in enumerate(BASIS):
-        term = h1 * basis.quat_conj() * phi1 + h2 * basis * phi2
+        term = h1 * basis.quat_conj() * other.phi1 + h2 * basis * other.phi2
         out[mu] = (_K_COEFF * term).temporal
     return out
 
@@ -136,20 +128,15 @@ def _i_blocks(mu: int) -> Reflector:
     return Reflector(BASIS[mu], BASIS[mu].quat_conj())
 
 
-def block_current(pair: BispinorPair) -> tuple[list[CurrentBlocks], np.ndarray]:
+def block_current(pair: BispinorPair) -> np.ndarray:
     """Current components as temporal trace of K PhiS I_mu Phi."""
     phi = _phi_blocks(pair)
     phi_s = _phi_s_blocks(pair)
     k = _k_blocks()
-    decomposition = []
     values = np.empty(4, dtype=complex)
     for mu in range(4):
-        i_mu = _i_blocks(mu)
-        j_rot = k * phi_s * i_mu * phi
-        value = j_rot.trace().temporal
-        decomposition.append(CurrentBlocks(mu, k, phi_s, i_mu, j_rot, value))
-        values[mu] = value
-    return decomposition, values
+        values[mu] = (k * phi_s * _i_blocks(mu) * phi).trace().temporal
+    return values
 
 
 def current_divergence(

@@ -281,7 +281,7 @@ def apply_discrete(state: DiracState, kind: str) -> DiracState:
     """
     if kind in ("parity", "time_reversal"):
         b, e = discrete_elements(kind)
-        bc, ec = b.conj("quat"), e.conj("quat")
+        bc, ec = b.quat_conj(), e.quat_conj()
         return DiracState(
             d=b * state.d * bc,
             a=b * state.a * bc,
@@ -290,10 +290,10 @@ def apply_discrete(state: DiracState, kind: str) -> DiracState:
         )
     if kind == "charge_conjugation":
         swap = Reflector(1.0, 1.0)
-        d_cc = -(swap * state.d.conj("complex") * swap)
-        a_cc = swap * state.a.conj("complex") * swap
-        phi_cc = swap * state.phi.conj("complex")
-        m_cc = -state.m.conj("complex")
+        d_cc = -(swap * state.d.complex_conj() * swap)
+        a_cc = swap * state.a.complex_conj() * swap
+        phi_cc = swap * state.phi.complex_conj()
+        m_cc = -state.m.complex_conj()
         return DiracState(d=d_cc, a=a_cc, phi=phi_cc, m=m_cc)
     raise ValueError(
         "unknown symmetry %r, expected 'parity', 'time_reversal' or "

@@ -1,10 +1,24 @@
 """Seeded verification suites, the finite-difference oracle, and reports.
 
-Each suite is an ordered list of named cases.  A case draws its instances
-from a counter-based generator keyed by (seed, case index), computes a
-maximum residual, and passes when that residual stays below its pinned
-tolerance scaled by ``cfg.tol / 1e-10``.  Reports are deterministic for a
-fixed (suite, seed, config) up to the elapsed-time field.
+Public API: ``SuiteConfig`` and ``run_suite`` run a suite (or ``"all"``)
+into a ``VerificationReport`` of ``CaseResult`` lines, ``emit_report``
+renders it as text or JSON, and ``list_suites`` names the suites.  The
+grid oracle is ``Grid4``, ``sample_quat_mode`` and ``fd_apply_D``; the
+dense oracles are ``embed4``, ``rotation_matrix4``, ``boost_matrix4`` and
+``quat_to_minkowski``/``minkowski_to_quat``.
+
+Each suite is an ordered list of cases.  A case is a generator that draws
+its instances from a counter-based generator keyed by (seed, position of
+the case in the run) and yields one residual per check; ``_run_case``
+reduces them to the largest.  A case passes when that residual is at most
+its pinned tolerance.  Cases come in three kinds: only ``residual``
+tolerances scale with ``cfg.tol / 1e-10``, while ``guard`` cases (yield 0
+or 1) and ``order`` cases (yield the gap of a convergence ratio from 4)
+keep theirs.  A case fails when any residual is NaN, when it yields none,
+or when it raises; the exception goes to stderr and the other cases still
+run.  Reports are deterministic for a fixed (suite, seed, config) up to
+the elapsed-time field.  The ``qdirac`` command exits 0 when every case
+passes, 1 when any fails and 2 on a usage or configuration error.
 
 Independent oracles live here rather than in the library modules: the
 4x4 dense embedding for block products, rotation and boost matrices for
@@ -14,8 +28,10 @@ derivative symbol and for current conservation.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -72,9 +88,13 @@ class SuiteConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        for name in ("tol", "grid_h"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("%s must be positive and finite, got %r" % (name, value))
         object.__setattr__(self, "n_set", tuple(int(n) for n in self.n_set))
+        if not self.n_set:
+            raise ValueError("n_set must hold at least one exponent")
 
 
 @dataclass(frozen=True)
@@ -140,39 +160,48 @@ def sample_quat_mode(
     return Grid4(spacing, wave[..., None] * comps)
 
 
-def _central_diff(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
+def _central_diff(
+    values: np.ndarray, axis: int, spacing: float, out: np.ndarray | None = None
+) -> np.ndarray:
     hi = [slice(1, -1)] * 4
     lo = [slice(1, -1)] * 4
     hi[axis] = slice(2, None)
     lo[axis] = slice(None, -2)
     hi.append(slice(None))
     lo.append(slice(None))
-    return (values[tuple(hi)] - values[tuple(lo)]) / (2.0 * spacing)
+    out = np.subtract(values[tuple(hi)], values[tuple(lo)], out=out)
+    out /= 2.0 * spacing
+    return out
 
 
-def _basis_left_mul(r: int, comps: np.ndarray) -> np.ndarray:
-    a0, a1, a2, a3 = (comps[..., k] for k in range(4))
-    if r == 1:
-        out = (-a1, a0, -a3, a2)
-    elif r == 2:
-        out = (-a2, a3, a0, -a1)
-    else:
-        out = (-a3, -a2, a1, a0)
-    return np.stack(out, axis=-1)
+# left multiplication by e_r: (source component, sign) of each output component
+_BASIS_LEFT_MUL = {
+    1: ((1, -1), (0, 1), (3, -1), (2, 1)),
+    2: ((2, -1), (3, 1), (0, 1), (1, -1)),
+    3: ((3, -1), (2, -1), (1, 1), (0, 1)),
+}
 
 
-def fd_apply_D(grid: Grid4) -> Grid4:
+def fd_apply_D(grid: Grid4, conjugate: bool = False) -> Grid4:
     """Central-difference application of the derivative quaternion.
 
     The temporal component enters as i * d/dx0; spatial derivatives are
-    left-multiplied by their basis quaternion.  The returned grid shrinks
-    by one point on each side.
+    left-multiplied by their basis quaternion, and subtracted instead of
+    added for the conjugated derivative (``conjugate=True``).  The returned
+    grid shrinks by one point on each side.  Each spatial difference goes
+    into one reused buffer and its signed components straight into the
+    output, so a call allocates two interior-size arrays and no more.
     """
-    if min(grid.values.shape[:4]) < 5:
+    values = grid.values
+    if min(values.shape[:4]) < 5:
         raise GridTooSmall("need at least 5 points per axis")
-    out = 1j * _central_diff(grid.values, 0, grid.spacing)
+    out = 1j * _central_diff(values, 0, grid.spacing)
+    diff = np.empty(out.shape, dtype=values.dtype)
     for r in (1, 2, 3):
-        out = out + _basis_left_mul(r, _central_diff(grid.values, r, grid.spacing))
+        _central_diff(values, r, grid.spacing, out=diff)
+        for k, (j, sign) in enumerate(_BASIS_LEFT_MUL[r]):
+            combine = np.add if (sign > 0) != conjugate else np.subtract
+            combine(out[..., k], diff[..., j], out=out[..., k])
     return Grid4(grid.spacing, out)
 
 
@@ -316,315 +345,270 @@ def rand_solution(rng, fd: dr.FieldData, lift: str = "G"):
     return mode, dr.spinor_to_pair(mode.amplitude, lift)
 
 
+def _rand_state(rng, with_potential: bool = True) -> dr.DiracState:
+    fd = rand_field(rng, with_potential=with_potential)
+    mode, _ = rand_solution(rng, fd)
+    return dr.state_from_mode(mode, fd)
+
+
+def rand_complex_vec(rng, size: int) -> np.ndarray:
+    return rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+
+
+def _n_draws(cfg) -> list[int]:
+    """The exponents of ``cfg.n_set``, each repeated for its share of trials."""
+    per_n = max(1, cfg.trials // len(cfg.n_set))
+    return [n for n in cfg.n_set for _ in range(per_n)]
+
+
+# ---------------------------------------------------------------------------
+# residual helpers shared by the cases
+
+def _max_abs(x) -> float:
+    return float(np.max(np.abs(x)))
+
+
+def _raises(exc, fn, *args) -> float:
+    """Guard residual: 0.0 when ``fn(*args)`` raises ``exc``, 1.0 when it returns."""
+    try:
+        fn(*args)
+    except exc:
+        return 0.0
+    return 1.0
+
+
+_NULL = Quat(1.0, 0.0, 0.0, 1j)  # nonzero, with zero complex modulus
+
+
 # ---------------------------------------------------------------------------
 # algebra suite
 
 def _case_basis_products(rng, cfg):
-    worst = 0.0
     cyc = ((qt.I1, qt.I2, qt.I3), (qt.I2, qt.I3, qt.I1), (qt.I3, qt.I1, qt.I2))
     for a, b, c in cyc:
-        worst = max(worst, (a * b - c).max_abs(), (b * a + c).max_abs())
-        worst = max(worst, (a * a + qt.ONE).max_abs())
+        yield (a * b - c).max_abs()
+        yield (b * a + c).max_abs()
+        yield (a * a + qt.ONE).max_abs()
     q = rand_complex_quat(rng)
-    worst = max(worst, (qt.ONE * q - q).max_abs(), (q * qt.ONE - q).max_abs())
-    return worst
+    yield (qt.ONE * q - q).max_abs()
+    yield (q * qt.ONE - q).max_abs()
 
 
 def _case_associativity(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         a, b, c = (rand_complex_quat(rng) for _ in range(3))
-        worst = max(worst, ((a * b) * c - a * (b * c)).max_abs())
-    return worst
+        yield ((a * b) * c - a * (b * c)).max_abs()
 
 
-def _case_conj_anti_homomorphism(rng, cfg):
-    worst = 0.0
+def _case_conjugation_anti_homomorphism(rng, cfg):
     for _ in range(cfg.trials):
         a, b = rand_complex_quat(rng), rand_complex_quat(rng)
         ab = a * b
-        worst = max(worst, (ab.quat_conj() - b.quat_conj() * a.quat_conj()).max_abs())
-        worst = max(worst, (ab.herm_conj() - b.herm_conj() * a.herm_conj()).max_abs())
-        worst = max(
-            worst, (ab.complex_conj() - a.complex_conj() * b.complex_conj()).max_abs()
-        )
-        worst = max(worst, (a.quat_conj().complex_conj() - a.herm_conj()).max_abs())
-        worst = max(worst, (a.complex_conj().quat_conj() - a.herm_conj()).max_abs())
-    return worst
+        yield (ab.quat_conj() - b.quat_conj() * a.quat_conj()).max_abs()
+        yield (ab.herm_conj() - b.herm_conj() * a.herm_conj()).max_abs()
+        yield (ab.complex_conj() - a.complex_conj() * b.complex_conj()).max_abs()
+        yield (a.quat_conj().complex_conj() - a.herm_conj()).max_abs()
+        yield (a.complex_conj().quat_conj() - a.herm_conj()).max_abs()
 
 
 def _case_dot_two_routes(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         a, b = rand_complex_quat(rng), rand_complex_quat(rng)
         sandwich = (a.quat_conj() * b + b.quat_conj() * a) * 0.5
-        worst = max(worst, abs(qt.dot(a, b) - sandwich.temporal))
-        worst = max(worst, sandwich.spatial.max_abs())
-        worst = max(worst, abs(qt.dot(a, a) - a.modulus()))
-    return worst
+        yield abs(qt.dot(a, b) - sandwich.temporal)
+        yield sandwich.spatial.max_abs()
+        yield abs(qt.dot(a, a) - a.modulus())
 
 
 def _case_matrix_homomorphism(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         a, b = rand_complex_quat(rng), rand_complex_quat(rng)
-        diff = qt.to_matrix(a * b) - qt.to_matrix(a) @ qt.to_matrix(b)
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+        yield _max_abs(qt.to_matrix(a * b) - qt.to_matrix(a) @ qt.to_matrix(b))
 
 
 def _case_matrix_roundtrip(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         q = rand_complex_quat(rng)
-        worst = max(worst, (qt.from_matrix(qt.to_matrix(q)) - q).max_abs())
-    return worst
+        yield (qt.from_matrix(qt.to_matrix(q)) - q).max_abs()
 
 
 def _case_matrix_trace(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         q = rand_complex_quat(rng)
-        worst = max(worst, abs(np.trace(qt.to_matrix(q)) - 2.0 * q.temporal))
-    return worst
+        yield abs(np.trace(qt.to_matrix(q)) - 2.0 * q.temporal)
 
 
 def _case_real_conjugations_coincide(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         q = rand_real_quat(rng)
-        worst = max(worst, (q.quat_conj() - q.herm_conj()).max_abs())
-    return worst
+        yield (q.quat_conj() - q.herm_conj()).max_abs()
 
 
 def _case_modulus_inverse(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         q = rand_invertible_quat(rng)
         inv = q.inverse()
-        worst = max(worst, (inv * q - qt.ONE).max_abs(), (q * inv - qt.ONE).max_abs())
-    return worst
+        yield (inv * q - qt.ONE).max_abs()
+        yield (q * inv - qt.ONE).max_abs()
 
 
 def _case_null_inversion_guard(rng, cfg):
-    null = Quat(1.0, 0.0, 0.0, 1j)
-    try:
-        null.inverse()
-    except qt.SingularQuaternion:
-        return 0.0
-    return 1.0
+    yield _raises(qt.SingularQuaternion, _NULL.inverse)
 
 
 # ---------------------------------------------------------------------------
 # maps suite
 
 def _case_fg_identity(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        v = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
-        worst = max(worst, float(np.max(np.abs(sm.map_F(sm.lift_G(v)) - v))))
-    return worst
+        v = rand_complex_vec(rng, 2)
+        yield _max_abs(sm.map_F(sm.lift_G(v)) - v)
 
 
 def _case_nl_identity(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        v = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
-        worst = max(worst, float(np.max(np.abs(sm.map_N(sm.lift_L(v)) - v))))
-    return worst
+        v = rand_complex_vec(rng, 2)
+        yield _max_abs(sm.map_N(sm.lift_L(v)) - v)
 
 
 def _case_lift_real_components(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        v = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
+        v = rand_complex_vec(rng, 2)
         for lifted in (sm.lift_G(v), sm.lift_L(v)):
-            worst = max(worst, max(abs(z.imag) for z in lifted.components))
-    return worst
+            yield _max_abs(np.imag(lifted.components))
 
 
 def _case_scalar_shift(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         q = rand_complex_quat(rng)
-        lhs = sm.map_F(q * (-qt.I3))
-        worst = max(worst, float(np.max(np.abs(lhs - 1j * sm.map_F(q)))))
-        lhs2 = sm.map_N(q * qt.I3)
-        worst = max(worst, float(np.max(np.abs(lhs2 - 1j * sm.map_N(q)))))
-    return worst
+        yield _max_abs(sm.map_F(q * (-qt.I3)) - 1j * sm.map_F(q))
+        yield _max_abs(sm.map_N(q * qt.I3) - 1j * sm.map_N(q))
 
 
 def _case_ideal_double(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         q = rand_complex_quat(rng)
-        lhs = sm.map_F(sm.ideal_project(q, 1))
-        worst = max(worst, float(np.max(np.abs(lhs - 2.0 * sm.map_F(q)))))
-        lhs2 = sm.map_N(sm.ideal_project(q, -1))
-        worst = max(worst, float(np.max(np.abs(lhs2 - 2.0 * sm.map_N(q)))))
-    return worst
+        yield _max_abs(sm.map_F(sm.ideal_project(q, 1)) - 2.0 * sm.map_F(q))
+        yield _max_abs(sm.map_N(sm.ideal_project(q, -1)) - 2.0 * sm.map_N(q))
 
 
 def _case_lift_commutation(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         q = rand_real_quat(rng)
-        mu = int(rng.integers(4))
-        basis = qt.BASIS[mu]
+        basis = qt.BASIS[int(rng.integers(4))]
         col = qt.to_matrix(basis) @ sm.map_F(q)
-        worst = max(worst, (sm.lift_G(col) - basis * q).max_abs())
-        twisted = sm.lift_G(1j * col)
-        worst = max(worst, (twisted - basis * q * (-qt.I3)).max_abs())
-    return worst
+        yield (sm.lift_G(col) - basis * q).max_abs()
+        yield (sm.lift_G(1j * col) - basis * q * (-qt.I3)).max_abs()
 
 
 def _case_gf_ideal(rng, cfg):
-    worst = 0.0
     factor = sm.ideal_factor(1)
     for _ in range(cfg.trials):
         q = rand_complex_quat(rng)
-        lhs = sm.lift_G(sm.map_F(q)) * factor
-        worst = max(worst, (lhs - q * factor).max_abs())
-    return worst
+        yield (sm.lift_G(sm.map_F(q)) * factor - q * factor).max_abs()
 
 
 def _case_idempotent(rng, cfg):
     half = sm.ideal_factor(1) * 0.5
-    return (half * half - half).max_abs()
+    yield (half * half - half).max_abs()
 
 
 def _case_contraction_vector(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         q, u = rand_real_quat(rng), rand_real_quat(rng)
         fq, fu = sm.map_F(q), sm.map_F(u)
-        for r in range(3):
-            basis = qt.BASIS[r + 1]
+        for basis in qt.BASIS[1:]:
             lhs = np.vdot(fq, qt.to_matrix(basis) @ fu).real
-            worst = max(worst, abs(lhs - qt.dot(q, basis * u)))
-    return worst
+            yield abs(lhs - qt.dot(q, basis * u))
 
 
 def _case_contraction_pauli(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         q, u = rand_real_quat(rng), rand_real_quat(rng)
         fq, fu = sm.map_F(q), sm.map_F(u)
-        for r in range(3):
-            basis = qt.BASIS[r + 1]
-            lhs = np.vdot(fq, sm.SIGMA[r] @ fu).real
-            worst = max(worst, abs(lhs - qt.dot(q, basis * u * (-qt.I3))))
-    return worst
+        for sigma, basis in zip(sm.SIGMA, qt.BASIS[1:]):
+            lhs = np.vdot(fq, sigma @ fu).real
+            yield abs(lhs - qt.dot(q, basis * u * (-qt.I3)))
 
 
 def _case_bijection_roundtrip(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        v = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
-        worst = max(worst, float(np.max(np.abs(sm.quat_to_vec(sm.vec_to_quat(v)) - v))))
-    return worst
+        v = rand_complex_vec(rng, 4)
+        yield _max_abs(sm.quat_to_vec(sm.vec_to_quat(v)) - v)
 
 
 # ---------------------------------------------------------------------------
 # blocks suite
 
-def _rand_block(rng):
-    cls = bl.Reflector if rng.integers(2) == 0 else bl.Rotator
-    return cls(rand_complex_quat(rng), rand_complex_quat(rng))
+def _rand_block(rng, cls=None, draw=rand_complex_quat):
+    if cls is None:
+        cls = bl.Reflector if rng.integers(2) == 0 else bl.Rotator
+    return cls(draw(rng), draw(rng))
 
 
 def _case_product_vs_embedding(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         x, y = _rand_block(rng), _rand_block(rng)
-        diff = embed4(x * y) - embed4(x) @ embed4(y)
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+        yield _max_abs(embed4(x * y) - embed4(x) @ embed4(y))
 
 
 def _case_parity_rule(rng, cfg):
     for count, expected in ((2, bl.Rotator), (3, bl.Reflector), (4, bl.Rotator)):
-        out = bl.Reflector(rand_complex_quat(rng), rand_complex_quat(rng))
+        out = _rand_block(rng, bl.Reflector)
         for _ in range(count - 1):
-            out = out * bl.Reflector(rand_complex_quat(rng), rand_complex_quat(rng))
-        if not isinstance(out, expected):
-            return 1.0
-    return 0.0
+            out = out * _rand_block(rng, bl.Reflector)
+        yield 0.0 if isinstance(out, expected) else 1.0
 
 
 def _case_rotator_conj_anti_homomorphism(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        x = bl.Rotator(rand_complex_quat(rng), rand_complex_quat(rng))
-        y = bl.Rotator(rand_complex_quat(rng), rand_complex_quat(rng))
-        lhs = embed4((x * y).conj("quat"))
-        rhs = embed4(y.conj("quat") * x.conj("quat"))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+        x, y = _rand_block(rng, bl.Rotator), _rand_block(rng, bl.Rotator)
+        lhs = embed4((x * y).quat_conj())
+        yield _max_abs(lhs - embed4(y.quat_conj() * x.quat_conj()))
 
 
 def _case_trace_embedding(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        x = bl.Rotator(rand_complex_quat(rng), rand_complex_quat(rng))
-        lhs = np.trace(embed4(x))
-        worst = max(worst, abs(lhs - 2.0 * bl.block_trace(x).temporal))
-        refl = bl.Reflector(rand_complex_quat(rng), rand_complex_quat(rng))
-        worst = max(worst, bl.block_trace(refl).max_abs())
-    return worst
+        x = _rand_block(rng, bl.Rotator)
+        yield abs(np.trace(embed4(x)) - 2.0 * x.trace().temporal)
+        yield _rand_block(rng, bl.Reflector).trace().max_abs()
 
 
 def _case_trace_temporal_similarity(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        x = bl.Rotator(rand_complex_quat(rng), rand_complex_quat(rng))
-        spec = rand_spec(rng)
-        r, _ = tr.rotor_blocks(spec)
+        x = _rand_block(rng, bl.Rotator)
+        r, _ = tr.rotor_blocks(rand_spec(rng))
         y = bl.similarity(x, r)
-        worst = max(worst, abs(bl.block_trace(y).temporal - bl.block_trace(x).temporal))
+        yield abs(y.trace().temporal - x.trace().temporal)
         # per-block temporal components are individually preserved
-        worst = max(worst, abs(y.upper.temporal - x.upper.temporal))
-        worst = max(worst, abs(y.lower.temporal - x.lower.temporal))
-    return worst
+        yield abs(y.upper.temporal - x.upper.temporal)
+        yield abs(y.lower.temporal - x.lower.temporal)
 
 
 def _case_reflector_equation_invariance(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         q = rand_invertible_quat(rng)
         p = rand_invertible_quat(rng)
         qq = bl.Reflector(q, q.quat_conj())
         pp = bl.Reflector(p, p.quat_conj())
         ww = pp.inverse() * qq * pp
-        worst = max(worst, (qq * pp - pp * ww).max_abs())
+        yield (qq * pp - pp * ww).max_abs()
         r, _ = tr.rotor_blocks(rand_spec(rng))
         qq2, pp2, ww2 = (bl.similarity(x, r) for x in (qq, pp, ww))
-        worst = max(worst, (qq2 * pp2 - pp2 * ww2).max_abs())
-    return worst
+        yield (qq2 * pp2 - pp2 * ww2).max_abs()
 
 
 def _case_block_inverse(rng, cfg):
-    worst = 0.0
     ident = embed4(bl.identity_rotator())
     for _ in range(cfg.trials):
-        cls = bl.Reflector if rng.integers(2) == 0 else bl.Rotator
-        x = cls(rand_invertible_quat(rng), rand_invertible_quat(rng))
-        worst = max(worst, float(np.max(np.abs(embed4(x.inverse() * x) - ident))))
-    return worst
+        x = _rand_block(rng, draw=rand_invertible_quat)
+        yield _max_abs(embed4(x.inverse() * x) - ident)
 
 
 def _case_block_guards(rng, cfg):
-    try:
-        bl.Reflector(qt.ONE, qt.ONE) + bl.Rotator(qt.ONE, qt.ONE)
-        return 1.0
-    except TypeError:
-        pass
-    null = Quat(1.0, 0.0, 0.0, 1j)
-    try:
-        bl.similarity(bl.Reflector(qt.ONE, qt.ONE), bl.Rotator(null, qt.ONE))
-        return 1.0
-    except qt.SingularQuaternion:
-        return 0.0
+    one = bl.Reflector(qt.ONE, qt.ONE)
+    yield _raises(TypeError, lambda: one + bl.Rotator(qt.ONE, qt.ONE))
+    yield _raises(qt.SingularQuaternion, bl.similarity, one, bl.Rotator(_NULL, qt.ONE))
 
 
 # ---------------------------------------------------------------------------
@@ -657,224 +641,177 @@ def _case_pattern_row(pattern):
     coeff_s, coeff_t = _PATTERN_COEFFS[pattern]
 
     def case(rng, cfg):
-        worst = 0.0
         for _ in range(cfg.trials):
             angle = rng.uniform(0.05, math.pi - 0.05)
             rotor = tr.rotor_spatial(rand_unit3(rng), angle)
             q = _rand_nondegenerate_real_quat(rng, rotor)
             q2 = tr.pattern_rotate(pattern, rotor, q)
             xi_s, xi_t = tr.measure_plane_angles(rotor, q, q2)
-            worst = max(worst, abs(xi_s - coeff_s * angle), abs(xi_t - coeff_t * angle))
-        return worst
+            yield abs(xi_s - coeff_s * angle)
+            yield abs(xi_t - coeff_t * angle)
 
+    case.__name__ = "_case_pattern_" + pattern.lower()
     return case
 
 
 def _case_angle_extraction(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         angle = rng.uniform(0.01, math.pi - 0.01)
         rotor = tr.rotor_spatial(rand_unit3(rng), angle)
-        worst = max(worst, abs(tr.rotor_angle(rotor) - angle))
-    return worst
+        yield abs(tr.rotor_angle(rotor) - angle)
 
 
 def _case_identity_pattern(rng, cfg):
-    worst = 0.0
     ident = tr.Rotor(qt.ONE, "spatial")
     for pattern in tr.ROTATION_PATTERNS:
         q = rand_real_quat(rng)
-        worst = max(worst, (tr.pattern_rotate(pattern, ident, q) - q).max_abs())
-    return worst
+        yield (tr.pattern_rotate(pattern, ident, q) - q).max_abs()
 
 
 def _case_unmoved_angles(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         rotor = rand_spatial_rotor(rng)
         q = _rand_nondegenerate_real_quat(rng, rotor)
         xi_s, xi_t = tr.measure_plane_angles(rotor, q, q)
-        worst = max(worst, abs(xi_s), abs(xi_t))
-    return worst
+        yield abs(xi_s)
+        yield abs(xi_t)
 
 
 # ---------------------------------------------------------------------------
 # invariance suite (four-vector laws, boosts, exponent-n transformation)
 
 def _case_boost_unit_time(rng, cfg):
-    worst = 0.0
+    unit_time = minkowski_to_quat([1.0, 0, 0, 0])
     for _ in range(cfg.trials):
         axis = rand_unit3(rng)
         w = rng.uniform(-2.0, 2.0)
         spec = tr.TransformSpec(tr.rotor_boost(axis, w))
-        out = quat_to_minkowski(
-            tr.four_vector_transform(minkowski_to_quat([1.0, 0, 0, 0]), spec)
-        )
-        expected = np.concatenate([[math.cosh(w)], math.sinh(w) * axis])
-        worst = max(worst, float(np.max(np.abs(out - expected))))
-    return worst
+        out = quat_to_minkowski(tr.four_vector_transform(unit_time, spec))
+        yield _max_abs(out - np.concatenate([[math.cosh(w)], math.sinh(w) * axis]))
 
 
 def _case_four_vector_vs_matrix(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         for kind in ("spatial", "boost"):
             spec = rand_spec(rng, kind=kind)
             q = rand_euclidean_quat(rng)
             got = quat_to_minkowski(tr.four_vector_transform(q, spec))
-            want = _matrix_oracle(spec) @ quat_to_minkowski(q)
-            worst = max(worst, float(np.max(np.abs(got - want))))
-    return worst
+            yield _max_abs(got - _matrix_oracle(spec) @ quat_to_minkowski(q))
 
 
 def _case_interval_preservation(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         q = rand_euclidean_quat(rng)
         v = quat_to_minkowski(q)
-        interval = v[0] ** 2 - v[1:] @ v[1:]
         spec = rand_spec(rng, kind="boost")
         v2 = quat_to_minkowski(tr.four_vector_transform(q, spec))
-        worst = max(worst, abs(interval - (v2[0] ** 2 - v2[1:] @ v2[1:])))
-    return worst
+        yield abs((v[0] ** 2 - v[1:] @ v[1:]) - (v2[0] ** 2 - v2[1:] @ v2[1:]))
 
 
 def _case_composition(rng, cfg):
-    worst = 0.0
+    move = tr.four_vector_transform
     for _ in range(cfg.trials):
         q = rand_euclidean_quat(rng)
         r1, r2 = rand_spatial_rotor(rng), rand_spatial_rotor(rng)
-        step = tr.four_vector_transform(tr.four_vector_transform(q, r1), r2)
         combined = tr.Rotor(r2.value * r1.value, "spatial")
-        worst = max(worst, (step - tr.four_vector_transform(q, combined)).max_abs())
+        yield (move(move(q, r1), r2) - move(q, combined)).max_abs()
         axis = rand_unit3(rng)
         w1, w2 = rng.uniform(-2, 2, 2)
         b1, b2 = tr.rotor_boost(axis, w1), tr.rotor_boost(axis, w2)
-        step = tr.four_vector_transform(tr.four_vector_transform(q, b1), b2)
-        both = tr.rotor_boost(axis, w1 + w2)
-        worst = max(worst, (step - tr.four_vector_transform(q, both)).max_abs())
-        undone = tr.four_vector_transform(
-            tr.four_vector_transform(q, b1), tr.rotor_boost(axis, -w1)
-        )
-        worst = max(worst, (undone - q).max_abs())
-    return worst
+        yield (move(move(q, b1), b2) - move(q, tr.rotor_boost(axis, w1 + w2))).max_abs()
+        yield (move(move(q, b1), tr.rotor_boost(axis, -w1)) - q).max_abs()
 
 
 def _case_blocks_vs_vector_path(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         spec = rand_spec(rng)
         q = rand_euclidean_quat(rng)
         r, rc = tr.rotor_blocks(spec)
         moved = r * bl.Reflector(q, q.quat_conj()) * rc
         direct = tr.four_vector_transform(q, spec)
-        worst = max(worst, (moved.upper - direct).max_abs())
-        worst = max(worst, (moved.lower - direct.quat_conj()).max_abs())
-    return worst
+        yield (moved.upper - direct).max_abs()
+        yield (moved.lower - direct.quat_conj()).max_abs()
 
 
 def _case_n_invariance(rng, cfg):
-    worst = 0.0
-    per_n = max(1, cfg.trials // max(1, len(cfg.n_set)))
-    for n in cfg.n_set:
-        for _ in range(per_n):
-            fd = rand_field(rng, with_potential=True)
-            mode, _ = rand_solution(rng, fd)
-            state = dr.state_from_mode(mode, fd)
-            spec = rand_spec(rng, n=n)
-            worst = max(worst, dr.transform_state(state, spec).residual().max_abs())
-    return worst
+    for n in _n_draws(cfg):
+        state = _rand_state(rng)
+        yield dr.transform_state(state, rand_spec(rng, n=n)).residual().max_abs()
 
 
 def _case_mass_four_vector(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         fd = rand_field(rng)
         state = dr.state_from_mode(dr.plane_wave_modes(np.zeros(3), fd)[3], fd)
         spec = rand_spec(rng, n=1, kind="boost")
         mass_after = dr.transform_state(state, spec).m.upper
         direct = tr.four_vector_transform(Quat(fd.euclidean_mass), spec)
-        worst = max(worst, (mass_after - direct).max_abs())
+        yield (mass_after - direct).max_abs()
         oracle = _matrix_oracle(spec) @ np.array([fd.mass, 0.0, 0.0, 0.0])
-        worst = max(
-            worst,
-            float(np.max(np.abs(quat_to_minkowski(mass_after) - oracle))),
-        )
+        yield _max_abs(quat_to_minkowski(mass_after) - oracle)
     # a unit-rapidity boost must push the mass off the temporal axis
     fd = dr.FieldData(1.0)
     state = dr.state_from_mode(dr.plane_wave_modes(np.zeros(3), fd)[3], fd)
     spec = tr.TransformSpec(tr.rotor_boost(np.array([1.0, 0, 0]), 1.0), 1)
     moved = dr.transform_state(state, spec).m.upper
-    if moved.spatial.max_abs() < 1e-3:
-        worst = max(worst, 1.0)
-    return worst
+    yield 1.0 if moved.spatial.max_abs() < 1e-3 else 0.0
 
 
 def _case_mass_fixed_n0(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        fd = rand_field(rng)
-        mode, _ = rand_solution(rng, fd)
-        state = dr.state_from_mode(mode, fd)
-        spec = rand_spec(rng, n=0)
-        moved = dr.transform_state(state, spec)
-        worst = max(worst, (moved.m - state.m).max_abs())
-    return worst
+        state = _rand_state(rng, with_potential=False)
+        moved = dr.transform_state(state, rand_spec(rng, n=0))
+        yield (moved.m - state.m).max_abs()
 
 
 # ---------------------------------------------------------------------------
 # equivalence suite
 
 def _case_translated_residuals(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         fd = rand_field(rng, with_potential=True)
-        modes = dr.plane_wave_modes(rand_momentum(rng), fd)
-        for mode in modes:
-            pair = dr.spinor_to_pair(mode.amplitude)
-            r1, r2 = dr.pair_residual(pair, mode, fd)
-            worst = max(worst, r1.max_abs(), r2.max_abs())
-            worst = max(worst, dr.state_from_mode(mode, fd).residual().max_abs())
-    return worst
+        for mode in dr.plane_wave_modes(rand_momentum(rng), fd):
+            r1, r2 = dr.pair_residual(dr.spinor_to_pair(mode.amplitude), mode, fd)
+            yield r1.max_abs()
+            yield r2.max_abs()
+            yield dr.state_from_mode(mode, fd).residual().max_abs()
 
 
 def _case_block_equals_pair(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         fd = rand_field(rng, with_potential=True)
-        mode = dr.PlaneWaveMode(
-            rng.uniform(-2, 2), rand_momentum(rng), rng.normal(size=4) + 1j * rng.normal(size=4)
-        )
-        pair = dr.spinor_to_pair(mode.amplitude)
-        r1, r2 = dr.pair_residual(pair, mode, fd)
+        energy, p = rng.uniform(-2, 2), rand_momentum(rng)
+        mode = dr.PlaneWaveMode(energy, p, rng.normal(size=4) + 1j * rng.normal(size=4))
+        r1, r2 = dr.pair_residual(dr.spinor_to_pair(mode.amplitude), mode, fd)
         block = dr.state_from_mode(mode, fd).residual()
-        worst = max(worst, (block.upper - r2).max_abs(), (block.lower - r1).max_abs())
-    return worst
+        yield (block.upper - r2).max_abs()
+        yield (block.lower - r1).max_abs()
 
 
 def _case_spinor_roundtrip(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        psi = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+        psi = rand_complex_vec(rng, 4)
         for lift in ("G", "L"):
-            back = dr.pair_to_spinor(dr.spinor_to_pair(psi, lift))
-            worst = max(worst, float(np.max(np.abs(back - psi))))
-    return worst
+            yield _max_abs(dr.pair_to_spinor(dr.spinor_to_pair(psi, lift)) - psi)
+
+
+def _case_ideal_membership(rng, cfg):
+    factor = sm.ideal_factor(1)
+    for _ in range(cfg.trials):
+        pair = dr.spinor_to_pair(rand_complex_vec(rng, 4))
+        for phi in (pair.phi1, pair.phi2):
+            yield (phi * factor - 2.0 * phi).max_abs()
 
 
 def _case_eigenvalue_match(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         fd = rand_field(rng, with_potential=True)
         p = rand_momentum(rng)
         energies = np.linalg.eigvalsh(dr.dirac_hamiltonian(p, fd))
         for lift in ("G", "L"):
             for e in energies:
-                sigma = np.linalg.svd(
-                    dr.pair_system_matrix(float(e), p, fd, lift), compute_uv=False
-                )
-                worst = max(worst, float(sigma[-1]))
-    return worst
+                system = dr.pair_system_matrix(float(e), p, fd, lift)
+                yield float(np.linalg.svd(system, compute_uv=False)[-1])
 
 
 def _case_off_eigenvalue_nonsingular(rng, cfg):
@@ -883,66 +820,41 @@ def _case_off_eigenvalue_nonsingular(rng, cfg):
         p = rand_momentum(rng)
         energies = np.linalg.eigvalsh(dr.dirac_hamiltonian(p, fd))
         e = float(energies[-1]) + rng.uniform(0.5, 1.5)
-        sigma = np.linalg.svd(
-            dr.pair_system_matrix(e, p, fd), compute_uv=False
-        )
-        if sigma[-1] < 1e-3:
-            return 1.0
-    return 0.0
+        sigma = np.linalg.svd(dr.pair_system_matrix(e, p, fd), compute_uv=False)
+        yield 1.0 if sigma[-1] < 1e-3 else 0.0
 
 
 def _case_massless_mode(rng, cfg):
-    worst = 0.0
     fd = dr.FieldData(0.0)
+    factor = sm.ideal_factor(1)
     for _ in range(cfg.trials):
         p = rand_momentum(rng)
         if np.linalg.norm(p) < 0.1:
             continue
         energy = float(np.linalg.norm(p))
         sym = Quat(energy, 1j * p[0], 1j * p[1], 1j * p[2])
-        factor = sm.ideal_factor(1)
         pair = dr.BispinorPair(sym * factor, sym.quat_conj() * factor)
-        mode = dr.PlaneWaveMode(energy, p, np.zeros(4))
-        r1, r2 = dr.pair_residual(pair, mode, fd)
-        worst = max(worst, r1.max_abs(), r2.max_abs())
-    return worst
+        r1, r2 = dr.pair_residual(pair, dr.PlaneWaveMode(energy, p, np.zeros(4)), fd)
+        yield r1.max_abs()
+        yield r2.max_abs()
 
 
 def _case_rest_frame_values(rng, cfg):
     fd = dr.FieldData(1.0)
-    modes = dr.plane_wave_modes(np.zeros(3), fd)
-    positive = [m for m in modes if m.energy > 0]
+    positive = [m for m in dr.plane_wave_modes(np.zeros(3), fd) if m.energy > 0]
     # project the degenerate eigenspace onto the first basis spinor
     psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     pair = dr.spinor_to_pair(psi)
-    expected1 = Quat(1.0, 0.0, 0.0, 1j)
-    expected2 = (-qt.I3) * sm.ideal_factor(1)
-    worst = (pair.phi1 - expected1).max_abs()
-    worst = max(worst, (pair.phi2 - expected2).max_abs())
+    yield (pair.phi1 - Quat(1.0, 0.0, 0.0, 1j)).max_abs()
+    yield (pair.phi2 - (-qt.I3) * sm.ideal_factor(1)).max_abs()
     mode = dr.PlaneWaveMode(positive[0].energy, np.zeros(3), psi)
     r1, r2 = dr.pair_residual(pair, mode, fd)
-    return max(worst, r1.max_abs(), r2.max_abs())
-
-
-def _case_ideal_membership(rng, cfg):
-    worst = 0.0
-    factor = sm.ideal_factor(1)
-    for _ in range(cfg.trials):
-        psi = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
-        pair = dr.spinor_to_pair(psi)
-        for phi in (pair.phi1, pair.phi2):
-            worst = max(worst, (phi * factor - 2.0 * phi).max_abs())
-    return worst
+    yield r1.max_abs()
+    yield r2.max_abs()
 
 
 # ---------------------------------------------------------------------------
 # symmetries suite
-
-def _rand_state(rng, with_potential=True):
-    fd = rand_field(rng, with_potential=with_potential)
-    mode, _ = rand_solution(rng, fd)
-    return fd, dr.state_from_mode(mode, fd)
-
 
 def _state_gap(a: dr.DiracState, b: dr.DiracState) -> float:
     return max(
@@ -954,192 +866,125 @@ def _state_gap(a: dr.DiracState, b: dr.DiracState) -> float:
 
 
 def _case_parity_preserves(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        _, state = _rand_state(rng)
-        worst = max(worst, dr.apply_discrete(state, "parity").residual().max_abs())
-    return worst
+        state = _rand_state(rng)
+        yield dr.apply_discrete(state, "parity").residual().max_abs()
 
 
 def _case_time_reversal_preserves(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        _, state = _rand_state(rng)
-        worst = max(
-            worst, dr.apply_discrete(state, "time_reversal").residual().max_abs()
-        )
-    return worst
+        state = _rand_state(rng)
+        yield dr.apply_discrete(state, "time_reversal").residual().max_abs()
 
 
 def _case_involutions(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        _, state = _rand_state(rng)
+        state = _rand_state(rng)
         for kind in ("parity", "time_reversal", "charge_conjugation"):
             twice = dr.apply_discrete(dr.apply_discrete(state, kind), kind)
-            worst = max(worst, _state_gap(twice, state))
-    return worst
+            yield _state_gap(twice, state)
 
 
 def _case_charge_conjugation_flips_potential(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        _, state = _rand_state(rng)
+        state = _rand_state(rng)
         image = dr.apply_discrete(state, "charge_conjugation")
-        worst = max(worst, image.residual().max_abs())
-        worst = max(worst, (image.a - (-state.a)).max_abs())
-    return worst
+        yield image.residual().max_abs()
+        yield (image.a - (-state.a)).max_abs()
 
 
 def _case_charge_conjugation_rotator(rng, cfg):
     element = tr.discrete_elements("charge_conjugation")
-    expected = bl.Rotator(qt.I2, qt.I2)
-    if element != expected:
-        return 1.0
+    yield 0.0 if element == bl.Rotator(qt.I2, qt.I2) else 1.0
     # the accompanying rotation is itself a solution-preserving similarity
-    _, state = _rand_state(rng)
+    state = _rand_state(rng)
     spec = tr.TransformSpec(tr.rotor_spatial(np.array([0.0, 1.0, 0.0]), math.pi), 0)
-    return dr.transform_state(state, spec).residual().max_abs()
+    yield dr.transform_state(state, spec).residual().max_abs()
 
 
 # ---------------------------------------------------------------------------
 # current suite
 
 def _case_current_pipelines(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        psi = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+        psi = rand_complex_vec(rng, 4)
         pair = dr.spinor_to_pair(psi)
-        sample = cur.current_sample(psi, pair)
         from_pair = cur.pair_current(pair)
-        worst = max(worst, float(np.max(np.abs(from_pair - sample.euclidean))))
-        _, from_blocks = cur.block_current(pair)
-        worst = max(worst, float(np.max(np.abs(from_blocks - from_pair))))
-    return worst
+        yield _max_abs(from_pair - cur.current_sample(psi, pair).euclidean)
+        yield _max_abs(cur.block_current(pair) - from_pair)
 
 
 def _case_current_rest_frame(rng, cfg):
     pair = dr.spinor_to_pair(np.array([1.0, 0, 0, 0], dtype=complex))
-    got = cur.pair_current(pair)
-    return float(np.max(np.abs(got - np.array([-1j, 0, 0, 0]))))
+    yield _max_abs(cur.pair_current(pair) - np.array([-1j, 0, 0, 0]))
 
 
 def _case_current_scaling(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        psi = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+        psi = rand_complex_vec(rng, 4)
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         j1 = cur.pair_current(dr.spinor_to_pair(psi))
         j2 = cur.pair_current(dr.spinor_to_pair(c * psi))
-        worst = max(worst, float(np.max(np.abs(j2 - abs(c) ** 2 * j1))))
-    zero = cur.pair_current(dr.spinor_to_pair(np.zeros(4, dtype=complex)))
-    worst = max(worst, float(np.max(np.abs(zero))))
-    return worst
+        yield _max_abs(j2 - abs(c) ** 2 * j1)
+    yield _max_abs(cur.pair_current(dr.spinor_to_pair(np.zeros(4, dtype=complex))))
 
 
 def _case_current_density_positive(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        psi = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
-        j = cur.spinor_current(psi)
-        if j[0] < 0:
-            return 1.0
+        psi = rand_complex_vec(rng, 4)
+        if cur.spinor_current(psi)[0] < 0:
+            yield 1.0
         # Euclidean temporal component is purely imaginary, spatial real
         je = cur.pair_current(dr.spinor_to_pair(psi))
-        worst = max(worst, abs(je[0].real), float(np.max(np.abs(je[1:].imag))))
-    return worst
+        yield abs(je[0].real)
+        yield _max_abs(je[1:].imag)
 
 
 def _case_current_covariance(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
-        psi = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
-        pair = dr.spinor_to_pair(psi)
+        pair = dr.spinor_to_pair(rand_complex_vec(rng, 4))
         n = cfg.n_set[int(rng.integers(len(cfg.n_set)))]
         spec = rand_spec(rng, n=n)
         report = cur.current_covariance(pair, spec)
-        worst = max(worst, report.scalar_residual)
+        yield report.scalar_residual
         got = quat_to_minkowski(report.j_after)
-        want = _matrix_oracle(spec) @ quat_to_minkowski(report.j_before)
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        yield _max_abs(got - _matrix_oracle(spec) @ quat_to_minkowski(report.j_before))
         direct = tr.four_vector_transform(report.j_before, spec)
-        worst = max(worst, (report.j_after - direct).max_abs())
-    return worst
+        yield (report.j_after - direct).max_abs()
 
 
 # ---------------------------------------------------------------------------
 # conservation suite
 
 def _two_mode_solution(rng, fd):
-    picks = []
-    for _ in range(2):
-        modes = dr.plane_wave_modes(rand_momentum(rng), fd)
-        mode = modes[int(rng.integers(4))]
-        picks.append((dr.spinor_to_pair(mode.amplitude), mode))
-    return picks
+    return [(pair, mode) for mode, pair in (rand_solution(rng, fd) for _ in range(2))]
 
 
 def _case_single_mode_divergence(rng, cfg):
-    worst = 0.0
     for _ in range(max(1, cfg.trials // 10)):
         fd = rand_field(rng)
         mode, pair = rand_solution(rng, fd)
-        worst = max(worst, cur.current_divergence([(pair, mode)], fd))
-    return worst
+        yield cur.current_divergence([(pair, mode)], fd)
 
 
 def _case_two_mode_divergence(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         fd = rand_field(rng)
-        worst = max(worst, cur.current_divergence(_two_mode_solution(rng, fd), fd))
-    return worst
+        yield cur.current_divergence(_two_mode_solution(rng, fd), fd)
 
 
 def _case_transformed_divergence(rng, cfg):
-    worst = 0.0
-    per_n = max(1, cfg.trials // max(1, len(cfg.n_set)))
-    for n in cfg.n_set:
-        for _ in range(per_n):
-            fd = rand_field(rng)
-            spec = rand_spec(rng, n=n)
-            worst = max(
-                worst,
-                cur.current_divergence(_two_mode_solution(rng, fd), fd, spec=spec),
-            )
-    return worst
+    for n in _n_draws(cfg):
+        fd = rand_field(rng)
+        spec = rand_spec(rng, n=n)
+        yield cur.current_divergence(_two_mode_solution(rng, fd), fd, spec=spec)
 
 
 def _case_off_shell_guard(rng, cfg):
     fd = dr.FieldData(1.0)
     mode = dr.PlaneWaveMode(0.5, np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]))
     pair = dr.spinor_to_pair(mode.amplitude)
-    try:
-        cur.current_divergence([(pair, mode)], fd)
-    except cur.NotASolution:
-        return 0.0
-    return 1.0
-
-
-def _pair_phase_coefficients(solutions):
-    """Current components of each ordered mode pair, and their symbols."""
-    coeffs = []
-    k = Quat(-0.25j)
-    for pair_a, mode_a in solutions:
-        row = []
-        for pair_b, mode_b in solutions:
-            h1 = pair_a.phi1.herm_conj()
-            h2 = pair_a.phi2.herm_conj()
-            comps = []
-            for mu in range(4):
-                basis = qt.BASIS[mu]
-                term = h1 * basis.quat_conj() * pair_b.phi1 + h2 * basis * pair_b.phi2
-                comps.append((k * term).temporal)
-            sym_a, _ = dr.momentum_symbol(mode_a)
-            sym_b, _ = dr.momentum_symbol(mode_b)
-            row.append((np.array(comps), sym_b - sym_a))
-        coeffs.append(row)
-    return coeffs
+    yield _raises(cur.NotASolution, cur.current_divergence, [(pair, mode)], fd)
 
 
 def _current_component_grids(solutions, shape, spacing):
@@ -1149,11 +994,13 @@ def _current_component_grids(solutions, shape, spacing):
     x2 = axes[2][None, None, :, None]
     x3 = axes[3][None, None, None, :]
     fields = [np.zeros(shape, dtype=complex) for _ in range(4)]
-    for row in _pair_phase_coefficients(solutions):
-        for comps, delta in row:
-            d = delta.components
-            # delta components are (dE, i*dp); the phase is the plane wave
-            # of the difference momentum
+    syms = [dr.momentum_symbol(mode)[0] for _, mode in solutions]
+    for (pair_a, _), sym_a in zip(solutions, syms):
+        for (pair_b, _), sym_b in zip(solutions, syms):
+            comps = cur.pair_current(pair_a, pair_b)
+            # the cross term oscillates as the plane wave of the difference
+            # symbol, whose components are (dE, i*dp)
+            d = (sym_b - sym_a).components
             de = d[0].real
             dp = np.array([d[1].imag, d[2].imag, d[3].imag])
             wave = np.exp(1j * (dp[0] * x1 + dp[1] * x2 + dp[2] * x3 - de * x0))
@@ -1170,43 +1017,42 @@ def _fd_divergence_max(fields, spacing):
     return float(np.max(np.abs(div)))
 
 
+def _convergence_gap(error, side: int, h: float) -> float:
+    """|coarse/fine - 4| for an error that is second order in the spacing.
+
+    ``error(shape, spacing)`` is taken on ``side`` points per axis at
+    spacing ``h`` and on ``2*side - 1`` points over the same box.
+    """
+    extent = (side - 1) * h
+    coarse = error((side,) * 4, h)
+    fine = error((2 * side - 1,) * 4, extent / (2 * side - 2))
+    return 0.0 if fine == 0.0 else abs(coarse / fine - 4.0)
+
+
 def _case_fd_divergence_convergence(rng, cfg):
     fd = rand_field(rng)
     solutions = _two_mode_solution(rng, fd)
-    h = cfg.grid_h
-    extent = 8 * h
-    coarse = _fd_divergence_max(
-        _current_component_grids(solutions, (9, 9, 9, 9), h), h
-    )
-    fine = _fd_divergence_max(
-        _current_component_grids(solutions, (17, 17, 17, 17), extent / 16), extent / 16
-    )
-    if fine == 0.0:
-        return 0.0
-    return abs(coarse / fine - 4.0)
+
+    def error(shape, spacing):
+        fields = _current_component_grids(solutions, shape, spacing)
+        return _fd_divergence_max(fields, spacing)
+
+    yield _convergence_gap(error, 9, cfg.grid_h)
 
 
 def _case_fd_symbol_convergence(rng, cfg):
     fd = rand_field(rng)
     mode, pair = rand_solution(rng, fd)
     sym, _ = dr.momentum_symbol(mode)
-    h = cfg.grid_h
-    extent = 8 * h
 
-    def interior_error(shape, spacing):
-        grid = sample_quat_mode(pair.phi1, mode.energy, mode.momentum, shape, spacing)
-        applied = fd_apply_D(grid)
-        exact = sample_quat_mode(
-            sym * pair.phi1, mode.energy, mode.momentum, shape, spacing
-        )
-        inner = tuple([slice(1, -1)] * 4 + [slice(None)])
-        return float(np.max(np.abs(applied.values - exact.values[inner])))
+    def error(shape, spacing):
+        def sample(amp):
+            return sample_quat_mode(amp, mode.energy, mode.momentum, shape, spacing)
 
-    coarse = interior_error((9, 9, 9, 9), h)
-    fine = interior_error((17, 17, 17, 17), extent / 16)
-    if fine == 0.0:
-        return 0.0
-    return abs(coarse / fine - 4.0)
+        applied = fd_apply_D(sample(pair.phi1)).values
+        return _max_abs(applied - sample(sym * pair.phi1).values[(slice(1, -1),) * 4])
+
+    yield _convergence_gap(error, 9, cfg.grid_h)
 
 
 # ---------------------------------------------------------------------------
@@ -1226,84 +1072,47 @@ def _rand_radiation_field(rng, count=3) -> cur.PlaneWaveField:
 
 
 def _case_radiation_solve(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         source = _rand_radiation_field(rng)
-        potential = cur.solve_potential(source)
-        worst = max(worst, cur.radiation_residual(source, potential))
-    return worst
+        yield cur.radiation_residual(source, cur.solve_potential(source))
 
 
 def _case_radiation_example(rng, cfg):
     amp = rand_euclidean_quat(rng)
-    source = cur.PlaneWaveField(
-        (cur.RadiationMode(amp, 2.0, np.array([1.0, 0, 0])),)
-    )
+    source = cur.PlaneWaveField((cur.RadiationMode(amp, 2.0, np.array([1.0, 0, 0])),))
     potential = cur.solve_potential(source)
-    worst = (potential.modes[0].amplitude - amp / 3.0).max_abs()
-    return max(worst, cur.radiation_residual(source, potential))
+    yield (potential.modes[0].amplitude - amp / 3.0).max_abs()
+    yield cur.radiation_residual(source, potential)
 
 
 def _case_lightlike_guard(rng, cfg):
-    source = cur.PlaneWaveField(
-        (cur.RadiationMode(qt.ONE, 1.0, np.array([1.0, 0, 0])),)
-    )
-    try:
-        cur.solve_potential(source)
-    except cur.LightlikeMode:
-        pass
-    else:
-        return 1.0
-    zero = cur.PlaneWaveField(
-        (cur.RadiationMode(Quat(), 2.0, np.array([1.0, 0, 0])),)
-    )
-    solved = cur.solve_potential(zero)
-    return solved.modes[0].amplitude.max_abs()
+    x_axis = np.array([1.0, 0, 0])
+    lightlike = cur.PlaneWaveField((cur.RadiationMode(qt.ONE, 1.0, x_axis),))
+    yield _raises(cur.LightlikeMode, cur.solve_potential, lightlike)
+    zero = cur.PlaneWaveField((cur.RadiationMode(Quat(), 2.0, x_axis),))
+    yield cur.solve_potential(zero).modes[0].amplitude.max_abs()
 
 
 def _case_radiation_transformed(rng, cfg):
-    worst = 0.0
     for _ in range(cfg.trials):
         source = _rand_radiation_field(rng)
         potential = cur.solve_potential(source)
-        spec = rand_spec(rng)
-        worst = max(worst, cur.radiation_residual(source, potential, spec=spec))
-    return worst
+        yield cur.radiation_residual(source, potential, spec=rand_spec(rng))
 
 
 def _case_dalembertian_fd(rng, cfg):
-    source = _rand_radiation_field(rng, count=1)
-    mode = source.modes[0]
+    mode = _rand_radiation_field(rng, count=1).modes[0]
     s = mode.wave_operator()
-    h = cfg.grid_h
-    extent = 10 * h
 
-    def dd_error(shape, spacing):
-        grid = sample_quat_mode(
-            mode.amplitude, mode.omega, mode.wavevector, shape, spacing
-        )
-        twice = fd_apply_D(fd_apply_D_conj(grid))
-        exact = sample_quat_mode(
-            s * mode.amplitude, mode.omega, mode.wavevector, shape, spacing
-        )
-        inner = tuple([slice(2, -2)] * 4 + [slice(None)])
-        return float(np.max(np.abs(twice.values - exact.values[inner])))
+    def error(shape, spacing):
+        def sample(amp):
+            return sample_quat_mode(amp, mode.omega, mode.wavevector, shape, spacing)
 
-    coarse = dd_error((11, 11, 11, 11), h)
-    fine = dd_error((21, 21, 21, 21), extent / 20)
-    if fine == 0.0:
-        return 0.0
-    return abs(coarse / fine - 4.0)
+        twice = fd_apply_D(fd_apply_D(sample(mode.amplitude), conjugate=True))
+        exact = sample(s * mode.amplitude).values[(slice(2, -2),) * 4]
+        return _max_abs(twice.values - exact)
 
-
-def fd_apply_D_conj(grid: Grid4) -> Grid4:
-    """Central-difference application of the conjugated derivative quaternion."""
-    if min(grid.values.shape[:4]) < 5:
-        raise GridTooSmall("need at least 5 points per axis")
-    out = 1j * _central_diff(grid.values, 0, grid.spacing)
-    for r in (1, 2, 3):
-        out = out - _basis_left_mul(r, _central_diff(grid.values, r, grid.spacing))
-    return Grid4(grid.spacing, out)
+    yield _convergence_gap(error, 11, cfg.grid_h)
 
 
 # ---------------------------------------------------------------------------
@@ -1312,122 +1121,112 @@ def fd_apply_D_conj(grid: Grid4) -> Grid4:
 @dataclass(frozen=True)
 class _Case:
     name: str
-    fn: object
+    fn: object  # generator function (rng, cfg) -> residuals
     tol: float
+    kind: str  # "residual" (tol scales with --tol), "guard" or "order"
 
 
-def _pattern_cases():
+def _cases(*rows) -> list[_Case]:
+    """Cases from ``(function, tol, kind)`` lines, named after the function."""
     return [
-        _Case("pattern_%s" % p.lower(), _case_pattern_row(p), 1e-9)
-        for p in tr.ROTATION_PATTERNS
+        _Case(fn.__name__.removeprefix("_case_"), fn, tol, kind)
+        for fn, tol, kind in rows
     ]
 
 
+# draws are keyed by position in the run, so the order here is part of the
+# reports
 SUITES: dict[str, list[_Case]] = {
-    "algebra": [
-        _Case("basis_products", _case_basis_products, 1e-12),
-        _Case("associativity", _case_associativity, 1e-12),
-        _Case("conjugation_anti_homomorphism", _case_conj_anti_homomorphism, 1e-12),
-        _Case("dot_two_routes", _case_dot_two_routes, 1e-12),
-        _Case("matrix_homomorphism", _case_matrix_homomorphism, 1e-12),
-        _Case("matrix_roundtrip", _case_matrix_roundtrip, 1e-12),
-        _Case("matrix_trace", _case_matrix_trace, 1e-12),
-        _Case("real_conjugations_coincide", _case_real_conjugations_coincide, 1e-12),
-        _Case("modulus_inverse", _case_modulus_inverse, 1e-10),
-        _Case("null_inversion_guard", _case_null_inversion_guard, 0.5),
-    ],
-    "maps": [
-        _Case("fg_identity", _case_fg_identity, 1e-12),
-        _Case("nl_identity", _case_nl_identity, 1e-12),
-        _Case("lift_real_components", _case_lift_real_components, 1e-12),
-        _Case("scalar_shift", _case_scalar_shift, 1e-12),
-        _Case("ideal_double", _case_ideal_double, 1e-12),
-        _Case("lift_commutation", _case_lift_commutation, 1e-12),
-        _Case("gf_ideal", _case_gf_ideal, 1e-12),
-        _Case("idempotent", _case_idempotent, 1e-12),
-        _Case("contraction_vector", _case_contraction_vector, 1e-12),
-        _Case("contraction_pauli", _case_contraction_pauli, 1e-12),
-        _Case("bijection_roundtrip", _case_bijection_roundtrip, 1e-12),
-    ],
-    "blocks": [
-        _Case("product_vs_embedding", _case_product_vs_embedding, 1e-12),
-        _Case("parity_rule", _case_parity_rule, 0.5),
-        _Case(
-            "rotator_conj_anti_homomorphism",
-            _case_rotator_conj_anti_homomorphism,
-            1e-12,
-        ),
-        _Case("trace_embedding", _case_trace_embedding, 1e-12),
-        _Case("trace_temporal_similarity", _case_trace_temporal_similarity, 1e-10),
-        _Case(
-            "reflector_equation_invariance", _case_reflector_equation_invariance, 1e-10
-        ),
-        _Case("block_inverse", _case_block_inverse, 1e-10),
-        _Case("block_guards", _case_block_guards, 0.5),
-    ],
-    "table1": _pattern_cases()
-    + [
-        _Case("angle_extraction", _case_angle_extraction, 1e-9),
-        _Case("identity_pattern", _case_identity_pattern, 1e-12),
-        _Case("unmoved_angles", _case_unmoved_angles, 1e-9),
-    ],
-    "invariance": [
-        _Case("boost_unit_time", _case_boost_unit_time, 1e-10),
-        _Case("four_vector_vs_matrix", _case_four_vector_vs_matrix, 1e-10),
-        _Case("interval_preservation", _case_interval_preservation, 1e-10),
-        _Case("composition", _case_composition, 1e-10),
-        _Case("blocks_vs_vector_path", _case_blocks_vs_vector_path, 1e-10),
-        _Case("n_invariance", _case_n_invariance, 1e-8),
-        _Case("mass_four_vector", _case_mass_four_vector, 1e-10),
-        _Case("mass_fixed_n0", _case_mass_fixed_n0, 1e-12),
-    ],
-    "equivalence": [
-        _Case("translated_residuals", _case_translated_residuals, 1e-10),
-        _Case("block_equals_pair", _case_block_equals_pair, 1e-12),
-        _Case("spinor_roundtrip", _case_spinor_roundtrip, 1e-12),
-        _Case("ideal_membership", _case_ideal_membership, 1e-12),
-        _Case("eigenvalue_match", _case_eigenvalue_match, 1e-10),
-        _Case(
-            "off_eigenvalue_nonsingular", _case_off_eigenvalue_nonsingular, 0.5
-        ),
-        _Case("massless_mode", _case_massless_mode, 1e-12),
-        _Case("rest_frame_values", _case_rest_frame_values, 1e-12),
-    ],
-    "symmetries": [
-        _Case("parity_preserves", _case_parity_preserves, 1e-10),
-        _Case("time_reversal_preserves", _case_time_reversal_preserves, 1e-10),
-        _Case("involutions", _case_involutions, 1e-12),
-        _Case(
-            "charge_conjugation_flips_potential",
-            _case_charge_conjugation_flips_potential,
-            1e-10,
-        ),
-        _Case(
-            "charge_conjugation_rotator", _case_charge_conjugation_rotator, 1e-10
-        ),
-    ],
-    "current": [
-        _Case("current_pipelines", _case_current_pipelines, 1e-12),
-        _Case("current_rest_frame", _case_current_rest_frame, 1e-12),
-        _Case("current_scaling", _case_current_scaling, 1e-12),
-        _Case("current_density_positive", _case_current_density_positive, 1e-12),
-        _Case("current_covariance", _case_current_covariance, 1e-10),
-    ],
-    "conservation": [
-        _Case("single_mode_divergence", _case_single_mode_divergence, 1e-12),
-        _Case("two_mode_divergence", _case_two_mode_divergence, 1e-10),
-        _Case("transformed_divergence", _case_transformed_divergence, 1e-10),
-        _Case("off_shell_guard", _case_off_shell_guard, 0.5),
-        _Case("fd_divergence_convergence", _case_fd_divergence_convergence, 0.8),
-        _Case("fd_symbol_convergence", _case_fd_symbol_convergence, 0.8),
-    ],
-    "radiation": [
-        _Case("radiation_solve", _case_radiation_solve, 1e-12),
-        _Case("radiation_example", _case_radiation_example, 1e-12),
-        _Case("lightlike_guard", _case_lightlike_guard, 0.5),
-        _Case("radiation_transformed", _case_radiation_transformed, 1e-10),
-        _Case("dalembertian_fd", _case_dalembertian_fd, 0.8),
-    ],
+    "algebra": _cases(
+        (_case_basis_products, 1e-12, "residual"),
+        (_case_associativity, 1e-12, "residual"),
+        (_case_conjugation_anti_homomorphism, 1e-12, "residual"),
+        (_case_dot_two_routes, 1e-12, "residual"),
+        (_case_matrix_homomorphism, 1e-12, "residual"),
+        (_case_matrix_roundtrip, 1e-12, "residual"),
+        (_case_matrix_trace, 1e-12, "residual"),
+        (_case_real_conjugations_coincide, 1e-12, "residual"),
+        (_case_modulus_inverse, 1e-10, "residual"),
+        (_case_null_inversion_guard, 0.5, "guard"),
+    ),
+    "maps": _cases(
+        (_case_fg_identity, 1e-12, "residual"),
+        (_case_nl_identity, 1e-12, "residual"),
+        (_case_lift_real_components, 1e-12, "residual"),
+        (_case_scalar_shift, 1e-12, "residual"),
+        (_case_ideal_double, 1e-12, "residual"),
+        (_case_lift_commutation, 1e-12, "residual"),
+        (_case_gf_ideal, 1e-12, "residual"),
+        (_case_idempotent, 1e-12, "residual"),
+        (_case_contraction_vector, 1e-12, "residual"),
+        (_case_contraction_pauli, 1e-12, "residual"),
+        (_case_bijection_roundtrip, 1e-12, "residual"),
+    ),
+    "blocks": _cases(
+        (_case_product_vs_embedding, 1e-12, "residual"),
+        (_case_parity_rule, 0.5, "guard"),
+        (_case_rotator_conj_anti_homomorphism, 1e-12, "residual"),
+        (_case_trace_embedding, 1e-12, "residual"),
+        (_case_trace_temporal_similarity, 1e-10, "residual"),
+        (_case_reflector_equation_invariance, 1e-10, "residual"),
+        (_case_block_inverse, 1e-10, "residual"),
+        (_case_block_guards, 0.5, "guard"),
+    ),
+    "table1": _cases(
+        *((_case_pattern_row(p), 1e-9, "residual") for p in tr.ROTATION_PATTERNS),
+        (_case_angle_extraction, 1e-9, "residual"),
+        (_case_identity_pattern, 1e-12, "residual"),
+        (_case_unmoved_angles, 1e-9, "residual"),
+    ),
+    "invariance": _cases(
+        (_case_boost_unit_time, 1e-10, "residual"),
+        (_case_four_vector_vs_matrix, 1e-10, "residual"),
+        (_case_interval_preservation, 1e-10, "residual"),
+        (_case_composition, 1e-10, "residual"),
+        (_case_blocks_vs_vector_path, 1e-10, "residual"),
+        (_case_n_invariance, 1e-8, "residual"),
+        (_case_mass_four_vector, 1e-10, "residual"),
+        (_case_mass_fixed_n0, 1e-12, "residual"),
+    ),
+    "equivalence": _cases(
+        (_case_translated_residuals, 1e-10, "residual"),
+        (_case_block_equals_pair, 1e-12, "residual"),
+        (_case_spinor_roundtrip, 1e-12, "residual"),
+        (_case_ideal_membership, 1e-12, "residual"),
+        (_case_eigenvalue_match, 1e-10, "residual"),
+        (_case_off_eigenvalue_nonsingular, 0.5, "guard"),
+        (_case_massless_mode, 1e-12, "residual"),
+        (_case_rest_frame_values, 1e-12, "residual"),
+    ),
+    "symmetries": _cases(
+        (_case_parity_preserves, 1e-10, "residual"),
+        (_case_time_reversal_preserves, 1e-10, "residual"),
+        (_case_involutions, 1e-12, "residual"),
+        (_case_charge_conjugation_flips_potential, 1e-10, "residual"),
+        (_case_charge_conjugation_rotator, 1e-10, "residual"),
+    ),
+    "current": _cases(
+        (_case_current_pipelines, 1e-12, "residual"),
+        (_case_current_rest_frame, 1e-12, "residual"),
+        (_case_current_scaling, 1e-12, "residual"),
+        (_case_current_density_positive, 1e-12, "residual"),
+        (_case_current_covariance, 1e-10, "residual"),
+    ),
+    "conservation": _cases(
+        (_case_single_mode_divergence, 1e-12, "residual"),
+        (_case_two_mode_divergence, 1e-10, "residual"),
+        (_case_transformed_divergence, 1e-10, "residual"),
+        (_case_off_shell_guard, 0.5, "guard"),
+        (_case_fd_divergence_convergence, 0.8, "order"),
+        (_case_fd_symbol_convergence, 0.8, "order"),
+    ),
+    "radiation": _cases(
+        (_case_radiation_solve, 1e-12, "residual"),
+        (_case_radiation_example, 1e-12, "residual"),
+        (_case_lightlike_guard, 0.5, "guard"),
+        (_case_radiation_transformed, 1e-10, "residual"),
+        (_case_dalembertian_fd, 0.8, "order"),
+    ),
 }
 
 
@@ -1437,12 +1236,11 @@ def list_suites() -> list[str]:
 
 def _suite_cases(name: str) -> list[_Case]:
     if name == "all":
-        cases = []
-        for suite, suite_cases in SUITES.items():
-            cases.extend(
-                _Case("%s/%s" % (suite, c.name), c.fn, c.tol) for c in suite_cases
-            )
-        return cases
+        return [
+            dataclasses.replace(c, name="%s/%s" % (suite, c.name))
+            for suite, suite_cases in SUITES.items()
+            for c in suite_cases
+        ]
     try:
         return SUITES[name]
     except KeyError:
@@ -1451,15 +1249,37 @@ def _suite_cases(name: str) -> list[_Case]:
         ) from None
 
 
+def _run_case(case: _Case, rng: np.random.Generator, cfg: SuiteConfig) -> CaseResult:
+    """Run one case and reduce the residuals it yields to the largest.
+
+    Only ``residual`` tolerances scale with ``cfg.tol``.  A NaN residual
+    makes the largest NaN, which fails; so does a case that yields nothing.
+    An exception inside the case fails it with residual inf and is reported
+    on stderr, so that the remaining cases still run.
+    """
+    scale = cfg.tol / _REFERENCE_TOL if case.kind == "residual" else 1.0
+    tol = case.tol * scale
+    try:
+        residuals = np.fromiter(case.fn(rng, cfg), dtype=float)
+    except Exception as exc:  # a faulty case must not stop the suite
+        print(
+            "case %s raised %s: %s" % (case.name, type(exc).__name__, exc),
+            file=sys.stderr,
+        )
+        return CaseResult(case.name, math.inf, False, tol)
+    if residuals.size == 0:
+        print("case %s yielded no residuals" % case.name, file=sys.stderr)
+        return CaseResult(case.name, math.nan, False, tol)
+    worst = float(np.max(residuals))
+    return CaseResult(case.name, worst, worst <= tol, tol)
+
+
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
     cases = _suite_cases(cfg.suite)
     start = time.perf_counter()
-    results = []
-    for index, case in enumerate(cases):
-        rng = case_rng(cfg.seed, index)
-        residual = float(case.fn(rng, cfg))
-        tol = case.tol * (cfg.tol / _REFERENCE_TOL)
-        results.append(CaseResult(case.name, residual, residual <= tol, tol))
+    results = tuple(
+        _run_case(case, case_rng(cfg.seed, i), cfg) for i, case in enumerate(cases)
+    )
     elapsed = time.perf_counter() - start
     config = {
         "trials": cfg.trials,
@@ -1472,7 +1292,7 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
         suite=cfg.suite,
         seed=cfg.seed,
         config=config,
-        cases=tuple(results),
+        cases=results,
         passed=all(r.passed for r in results),
         elapsed=elapsed,
     )

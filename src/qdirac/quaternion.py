@@ -33,10 +33,7 @@ __all__ = [
     "I2",
     "I3",
     "BASIS",
-    "conjugate",
     "dot",
-    "modulus_inverse",
-    "temporal_spatial_split",
     "to_matrix",
     "from_matrix",
 ]
@@ -59,11 +56,6 @@ class Quat:
             if not cmath.isfinite(z):
                 raise ValueError("quaternion components must be finite, got %r" % (c,))
         self._c = c
-
-    @classmethod
-    def from_components(cls, seq) -> "Quat":
-        q0, q1, q2, q3 = seq
-        return cls(q0, q1, q2, q3)
 
     @property
     def components(self) -> tuple[complex, complex, complex, complex]:
@@ -198,20 +190,6 @@ I2 = Quat(0.0, 0.0, 1.0)
 I3 = Quat(0.0, 0.0, 0.0, 1.0)
 BASIS = (ONE, I1, I2, I3)
 
-_CONJ_KINDS = ("quat", "complex", "herm")
-
-
-def conjugate(q: Quat, kind: str) -> Quat:
-    """Apply one of the three conjugation flavours by name."""
-    if kind == "quat":
-        return q.quat_conj()
-    if kind == "complex":
-        return q.complex_conj()
-    if kind == "herm":
-        return q.herm_conj()
-    raise ValueError("unknown conjugation %r, expected one of %s" % (kind, _CONJ_KINDS))
-
-
 def dot(a: Quat, b: Quat) -> complex:
     """Component dot product, without conjugation.
 
@@ -219,15 +197,6 @@ def dot(a: Quat, b: Quat) -> complex:
     """
     x, y = a.components, b.components
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
-
-
-def modulus_inverse(q: Quat) -> tuple[complex, Quat]:
-    """Return (complex modulus, inverse); raises SingularQuaternion on the null cone."""
-    return q.modulus(), q.inverse()
-
-
-def temporal_spatial_split(q: Quat) -> tuple[complex, Quat]:
-    return q.temporal, q.spatial
 
 
 # 2x2 complex representation: 1 -> identity, i1 -> [[0,-i],[-i,0]],

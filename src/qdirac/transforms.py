@@ -211,7 +211,7 @@ def rotor_blocks(spec: TransformSpec | Rotor) -> tuple[Rotator, Rotator]:
         r = Rotator(v, v)
     else:
         r = Rotator(v, v.quat_conj())
-    return r, r.conj("quat")
+    return r, r.quat_conj()
 
 
 def discrete_elements(kind: str):

@@ -4,12 +4,9 @@ import pytest
 from qdirac.blocks import (
     Reflector,
     Rotator,
-    block_conj,
     block_power,
-    block_trace,
     identity_rotator,
     similarity,
-    temporal_of,
 )
 from qdirac.harness import embed4
 from qdirac.quaternion import I1, ONE, Quat, SingularQuaternion
@@ -68,14 +65,19 @@ def test_products_match_dense_embedding():
 
 
 def test_block_conj_examples():
-    x = Reflector(I1, ONE).conj("quat")
+    x = Reflector(I1, ONE).quat_conj()
+    assert isinstance(x, Reflector)
     assert (x.upper + I1).max_abs() == 0.0
     assert (x.lower - ONE).max_abs() == 0.0
     rng = np.random.default_rng(4)
     r = rand_quat(rng)
-    y = Rotator(r, r.quat_conj()).conj("quat")
+    y = Rotator(r, r.quat_conj()).quat_conj()
     assert (y.upper - r.quat_conj()).max_abs() == 0.0
     assert (y.lower - r).max_abs() == 0.0
+    z = Rotator(r, I1 * 1j).complex_conj()
+    assert isinstance(z, Rotator)
+    assert (z.upper - r.complex_conj()).max_abs() == 0.0
+    assert (z.lower + I1 * 1j).max_abs() == 0.0
 
 
 def test_rotator_conj_anti_homomorphism_via_embedding():
@@ -83,32 +85,32 @@ def test_rotator_conj_anti_homomorphism_via_embedding():
     for _ in range(200):
         x = Rotator(rand_quat(rng), rand_quat(rng))
         y = Rotator(rand_quat(rng), rand_quat(rng))
-        lhs = embed4(block_conj(x * y, "quat"))
-        rhs = embed4(block_conj(y, "quat") * block_conj(x, "quat"))
+        lhs = embed4((x * y).quat_conj())
+        rhs = embed4(y.quat_conj() * x.quat_conj())
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_block_trace():
     rng = np.random.default_rng(6)
     q, u = rand_quat(rng), rand_quat(rng)
-    assert (block_trace(Rotator(q, u)) - (q + u)).max_abs() == 0.0
-    assert block_trace(Reflector(q, u)).max_abs() == 0.0
+    assert (Rotator(q, u).trace() - (q + u)).max_abs() == 0.0
+    assert Reflector(q, u).trace().max_abs() == 0.0
     # scalar trace of the embedding is twice the temporal part of the trace
     x = Rotator(q, u)
-    assert abs(np.trace(embed4(x)) - 2 * block_trace(x).temporal) < 1e-13
+    assert abs(np.trace(embed4(x)) - 2 * x.trace().temporal) < 1e-13
 
 
 def test_temporal_of():
     x = Rotator(Quat(2, 1), Quat(0, 0, 3))
-    t = temporal_of(x)
+    t = x.temporal()
     assert (t.upper - Quat(2)).max_abs() == 0.0
     assert t.lower.max_abs() == 0.0
     rng = np.random.default_rng(7)
     a, b = Rotator(rand_quat(rng), rand_quat(rng)), Rotator(
         rand_quat(rng), rand_quat(rng)
     )
-    lhs = temporal_of(a + b)
-    rhs = temporal_of(a) + temporal_of(b)
+    lhs = (a + b).temporal()
+    rhs = a.temporal() + b.temporal()
     assert (lhs - rhs).max_abs() == 0.0
 
 
@@ -122,7 +124,7 @@ def test_similarity_identity_and_trace_invariance():
     ):
         r, _ = rotor_blocks(spec)
         y = similarity(x, r)
-        assert abs(block_trace(y).temporal - block_trace(x).temporal) < 1e-12
+        assert abs(y.trace().temporal - x.trace().temporal) < 1e-12
         assert abs(y.upper.temporal - x.upper.temporal) < 1e-12
         assert abs(y.lower.temporal - x.lower.temporal) < 1e-12
 

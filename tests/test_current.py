@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qdirac.blocks import Reflector, Rotator
+from qdirac.current import _i_blocks, _k_blocks, _phi_blocks, _phi_s_blocks
 from qdirac.current import (
     LightlikeMode,
     NotASolution,
@@ -66,24 +67,35 @@ def test_three_pipelines_agree():
         sample = current_sample(psi, pair)
         j_pair = pair_current(pair)
         assert np.max(np.abs(j_pair - sample.euclidean)) < 1e-12
-        decomposition, j_blocks = block_current(pair)
-        assert np.max(np.abs(j_blocks - j_pair)) < 1e-12
-        assert len(decomposition) == 4
+        assert np.max(np.abs(block_current(pair) - j_pair)) < 1e-12
+
+
+def test_pair_current_cross_terms():
+    # the current of a superposition is the sum of the four bilinear terms
+    rng = np.random.default_rng(12)
+    psi_a, psi_b = rand_psi(rng), rand_psi(rng)
+    a, b = spinor_to_pair(psi_a), spinor_to_pair(psi_b)
+    assert np.max(np.abs(pair_current(a, a) - pair_current(a))) == 0.0
+    total = pair_current(spinor_to_pair(psi_a + psi_b))
+    parts = pair_current(a) + pair_current(a, b) + pair_current(b, a) + pair_current(b)
+    assert np.max(np.abs(total - parts)) < 1e-12
 
 
 def test_block_current_structure():
     pair = spinor_to_pair(np.array([0.2 + 0.1j, -0.4, 0.9j, 1.0]))
-    decomposition, _ = block_current(pair)
-    for piece in decomposition:
-        assert isinstance(piece.k, Reflector)
-        assert isinstance(piece.phi_s, Reflector)
-        assert isinstance(piece.i_mu, Reflector)
-        assert isinstance(piece.j_rot, Rotator)
-        # the shared coefficient is scalar, so its conjugate is itself
-        assert (piece.k.upper - piece.k.lower).max_abs() == 0.0
+    j = block_current(pair)
+    assert j.shape == (4,)
+    k = _k_blocks()
+    # the shared coefficient is scalar, so its conjugate is itself
+    assert (k.upper - k.lower).max_abs() == 0.0
+    for mu in range(4):
+        factors = (k, _phi_s_blocks(pair), _i_blocks(mu), _phi_blocks(pair))
+        assert all(isinstance(f, Reflector) for f in factors)
+        j_rot = factors[0] * factors[1] * factors[2] * factors[3]
+        assert isinstance(j_rot, Rotator)
+        assert j_rot.trace().temporal == j[mu]
     zero_pair = spinor_to_pair(np.zeros(4, dtype=complex))
-    _, j = block_current(zero_pair)
-    assert np.max(np.abs(j)) == 0.0
+    assert np.max(np.abs(block_current(zero_pair))) == 0.0
 
 
 def test_euclidean_current_structure():

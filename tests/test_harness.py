@@ -1,10 +1,14 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from qdirac import cli
+from qdirac import harness as hz
+from qdirac import spinor_maps as sm
 from qdirac.dirac import FieldData, plane_wave_modes, spinor_to_pair, momentum_symbol
 from qdirac.harness import (
     Grid4,
@@ -17,7 +21,7 @@ from qdirac.harness import (
     run_suite,
     sample_quat_mode,
 )
-from qdirac.quaternion import I1
+from qdirac.quaternion import I1, Quat
 
 
 def test_fd_constant_field_is_zero():
@@ -37,6 +41,9 @@ def test_fd_linear_scalar_field():
     out = fd_apply_D(Grid4(0.1, values))
     expected = np.array((I1 * slope).components)
     assert np.max(np.abs(out.values - expected)) < 1e-13
+    # the conjugated derivative flips the sign of the spatial part
+    out = fd_apply_D(Grid4(0.1, values), conjugate=True)
+    assert np.max(np.abs(out.values + expected)) < 1e-13
 
 
 def test_fd_matches_momentum_symbol_second_order():
@@ -79,6 +86,14 @@ def test_suite_config_validation():
         SuiteConfig(suite="algebra", trials=0)
     with pytest.raises(ValueError):
         SuiteConfig(suite="algebra", tol=-1.0)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SuiteConfig(suite="algebra", tol=tol)
+    with pytest.raises(ValueError):
+        SuiteConfig(suite="invariance", n_set=())
+    for grid_h in (0.0, -0.05, math.inf):
+        with pytest.raises(ValueError):
+            SuiteConfig(suite="conservation", grid_h=grid_h)
 
 
 def test_list_suites():
@@ -155,6 +170,71 @@ def test_empty_suites_never_happen():
             continue
         report = run_suite(SuiteConfig(suite=name, seed=0, trials=3))
         assert len(report.cases) > 0
+        assert report.passed, name
+
+
+def _case(report, name):
+    return {case.name: case for case in report.cases}[name]
+
+
+def test_nan_residual_fails(monkeypatch):
+    # max(0.0, nan) is 0.0: a running max started at 0.0 would pass these
+    monkeypatch.setattr(sm, "map_F", lambda q: np.full(2, np.nan, dtype=complex))
+    report = run_suite(SuiteConfig(suite="maps", seed=0, trials=5))
+    for name in ("fg_identity", "contraction_vector"):
+        case = _case(report, name)
+        assert math.isnan(case.max_residual) and not case.passed
+    assert not report.passed
+    cases = json.loads(emit_report(report, "json"))["cases"]
+    assert {c["name"]: c["max_residual"] for c in cases}["fg_identity"] == "nan"
+
+
+def test_guard_tolerance_does_not_scale(monkeypatch):
+    # with inversion never raising, the guard yields 1.0; at --tol 3e-10 a
+    # scaled guard tolerance would be 1.5 and let it pass
+    monkeypatch.setattr(Quat, "inverse", lambda self: self.quat_conj())
+    report = run_suite(SuiteConfig(suite="algebra", seed=0, trials=3, tol=3e-10))
+    guard = _case(report, "null_inversion_guard")
+    assert (guard.max_residual, guard.tol, guard.passed) == (1.0, 0.5, False)
+    assert cli.main(["verify", "algebra", "--trials", "3", "--tol", "3e-10"]) == 1
+
+
+def test_order_tolerance_does_not_scale():
+    report = run_suite(SuiteConfig(suite="conservation", seed=0, trials=3, tol=1e-12))
+    for name in ("fd_divergence_convergence", "fd_symbol_convergence"):
+        case = _case(report, name)
+        assert case.tol == 0.8 and case.passed, case
+    # residual tolerances do scale
+    assert _case(report, "two_mode_divergence").tol == pytest.approx(1e-12)
+
+
+def test_case_without_residuals_fails(monkeypatch, capsys):
+    # every momentum below the cut: massless_mode skips all of its draws
+    monkeypatch.setattr(hz, "rand_momentum", lambda rng: np.zeros(3))
+    report = run_suite(SuiteConfig(suite="equivalence", seed=0, trials=3))
+    case = _case(report, "massless_mode")
+    assert math.isnan(case.max_residual) and not case.passed
+    assert "massless_mode yielded no residuals" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, RuntimeError])
+def test_exception_in_case_is_a_fail_line(monkeypatch, capsys, exc_type):
+    def broken(v):
+        raise exc_type("injected lift failure")
+
+    monkeypatch.setattr(sm, "lift_G", broken)
+    code = cli.main(["verify", "maps", "--trials", "3", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    payload = json.loads(out)
+    cases = {c["name"]: c for c in payload["cases"]}
+    assert cases["fg_identity"] == {
+        "name": "fg_identity", "max_residual": "inf", "pass": False
+    }
+    # the remaining cases still ran
+    assert cases["nl_identity"]["pass"] is True
+    assert len(cases) == len(hz.SUITES["maps"])
+    assert "fg_identity raised %s: injected lift failure" % exc_type.__name__ in err
 
 
 def _run_cli(*args):
@@ -175,6 +255,19 @@ def test_cli_verify_pass():
 def test_cli_failure_exit_code():
     result = _run_cli("verify", "algebra", "--trials", "5", "--tol", "1e-30")
     assert result.returncode == 1
+
+
+def test_cli_nonfinite_tol_exit_code():
+    result = _run_cli("verify", "conservation", "--trials", "1", "--tol", "inf")
+    assert result.returncode == 2
+    assert "tol must be positive and finite" in result.stderr
+
+
+@pytest.mark.parametrize("suite", ["invariance", "current"])
+def test_cli_empty_n_set_exit_code(suite):
+    result = _run_cli("verify", suite, "--trials", "4", "--n", ",")
+    assert result.returncode == 2
+    assert "n_set must hold at least one exponent" in result.stderr
 
 
 def test_cli_unknown_suite_exit_code():

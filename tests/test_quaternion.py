@@ -9,11 +9,8 @@ from qdirac.quaternion import (
     ONE,
     Quat,
     SingularQuaternion,
-    conjugate,
     dot,
     from_matrix,
-    modulus_inverse,
-    temporal_spatial_split,
     to_matrix,
 )
 
@@ -53,16 +50,16 @@ def test_conjugation_examples():
     assert (q.herm_conj() - q).max_abs() == 0.0
 
 
-def test_conjugation_dispatch_and_composition():
+def test_conjugation_formulas_and_composition():
     rng = np.random.default_rng(2)
     q = rand_quat(rng)
-    assert conjugate(q, "quat") == q.quat_conj()
-    assert conjugate(q, "complex") == q.complex_conj()
-    assert conjugate(q, "herm") == q.herm_conj()
+    q0, q1, q2, q3 = q.components
+    assert q.quat_conj() == Quat(q0, -q1, -q2, -q3)
+    c = [z.conjugate() for z in q.components]
+    assert q.complex_conj() == Quat(*c)
+    assert q.herm_conj() == Quat(c[0], -c[1], -c[2], -c[3])
     assert (q.quat_conj().complex_conj() - q.herm_conj()).max_abs() == 0.0
     assert (q.complex_conj().quat_conj() - q.herm_conj()).max_abs() == 0.0
-    with pytest.raises(ValueError):
-        conjugate(q, "transpose")
 
 
 def test_conjugation_anti_homomorphisms():
@@ -97,12 +94,11 @@ def test_dot_two_routes_agree():
 
 
 def test_modulus_inverse_examples():
-    m, inv = modulus_inverse(Quat(1, 1))
-    assert m == 2
-    assert (inv - Quat(0.5, -0.5)).max_abs() == 0.0
-    m, inv = modulus_inverse(ONE)
-    assert m == 1
-    assert (inv - ONE).max_abs() == 0.0
+    q = Quat(1, 1)
+    assert q.modulus() == 2
+    assert (q.inverse() - Quat(0.5, -0.5)).max_abs() == 0.0
+    assert ONE.modulus() == 1
+    assert (ONE.inverse() - ONE).max_abs() == 0.0
 
 
 def test_null_element_raises():
@@ -123,14 +119,12 @@ def test_inverse_roundtrip():
 
 
 def test_temporal_spatial_split():
-    s, v = temporal_spatial_split(Quat(2, 3))
-    assert s == 2 and (v - Quat(0, 3)).max_abs() == 0.0
-    s, v = temporal_spatial_split(I2)
-    assert s == 0 and (v - I2).max_abs() == 0.0
+    q = Quat(2, 3)
+    assert q.temporal == 2 and (q.spatial - Quat(0, 3)).max_abs() == 0.0
+    assert I2.temporal == 0 and (I2.spatial - I2).max_abs() == 0.0
     rng = np.random.default_rng(7)
     q = rand_quat(rng)
-    s, v = temporal_spatial_split(q)
-    assert (Quat(s) + v - q).max_abs() == 0.0
+    assert (Quat(q.temporal) + q.spatial - q).max_abs() == 0.0
 
 
 def test_matrix_representation_basis():
