@@ -1010,10 +1010,9 @@ def _current_component_grids(solutions, shape, spacing):
 
 
 def _fd_divergence_max(fields, spacing):
-    stacked = np.stack(fields, axis=-1)
-    div = 1j * _central_diff(stacked, 0, spacing)[..., 0]
+    div = 1j * _central_diff(fields[0][..., None], 0, spacing)[..., 0]
     for r in (1, 2, 3):
-        div = div + _central_diff(stacked, r, spacing)[..., r]
+        div = div + _central_diff(fields[r][..., None], r, spacing)[..., 0]
     return float(np.max(np.abs(div)))
 
 

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from qdirac.blocks import Reflector, Rotator
-from qdirac.current import _i_blocks, _k_blocks, _phi_blocks, _phi_s_blocks
+from qdirac.blocks import Reflector, Rotator, block_power
+from qdirac.current import (
+    _current_factors,
+    _i_blocks,
+    _k_blocks,
+    _phi_blocks,
+    _phi_s_blocks,
+)
 from qdirac.current import (
     LightlikeMode,
     NotASolution,
@@ -26,7 +32,7 @@ from qdirac.dirac import (
 )
 from qdirac.harness import _matrix_oracle, quat_to_minkowski
 from qdirac.quaternion import ONE, Quat
-from qdirac.transforms import TransformSpec, rotor_boost, rotor_spatial
+from qdirac.transforms import TransformSpec, rotor_blocks, rotor_boost, rotor_spatial
 
 
 def rand_psi(rng):
@@ -93,9 +99,40 @@ def test_block_current_structure():
         assert all(isinstance(f, Reflector) for f in factors)
         j_rot = factors[0] * factors[1] * factors[2] * factors[3]
         assert isinstance(j_rot, Rotator)
-        assert j_rot.trace().temporal == j[mu]
+        # the contraction sums in another order than the block product
+        assert abs(j_rot.trace().temporal - j[mu]) < 1e-15
     zero_pair = spinor_to_pair(np.zeros(4, dtype=complex))
     assert np.max(np.abs(block_current(zero_pair))) == 0.0
+
+
+def test_block_factor_cross_terms():
+    # every cross coefficient of the factor arrays is the explicit block
+    # product, with each factor transformed by its own exponent-n law
+    rng = np.random.default_rng(13)
+    pairs = [spinor_to_pair(rand_psi(rng)) for _ in range(3)]
+    v = rng.normal(size=3)
+    rotor = rotor_boost(v / np.linalg.norm(v), rng.uniform(-2, 2))
+    for spec in (None, *(TransformSpec(rotor, n) for n in (-1, 0, 1, 2))):
+        left, right = _current_factors(pairs, spec)
+        k = _k_blocks()
+        i_blocks = [_i_blocks(mu) for mu in range(4)]
+        phis = [_phi_blocks(p) for p in pairs]
+        phis_s = [_phi_s_blocks(p) for p in pairs]
+        if spec is not None:
+            r, rc = rotor_blocks(spec)
+            r_n, rc_n = block_power(r, spec.n), block_power(rc, spec.n)
+            k = r_n * k * rc_n
+            i_blocks = [r * i_mu * rc for i_mu in i_blocks]
+            phis = [r * phi * rc_n for phi in phis]
+            phis_s = [r_n * phi_s * rc for phi_s in phis_s]
+        for a in range(3):
+            for b in range(3):
+                if a == b:
+                    continue
+                got = left[a] @ right[b]
+                for mu in range(4):
+                    want = (k * phis_s[a] * i_blocks[mu] * phis[b]).trace().temporal
+                    assert abs(got[mu] - want) < 1e-14
 
 
 def test_euclidean_current_structure():
@@ -158,6 +195,9 @@ def test_divergence_guards():
     good = [(spinor_to_pair(mode.amplitude), mode)]
     with pytest.raises(ValueError):
         current_divergence(good, charged)
+    # an empty superposition checks nothing, so it must not pass
+    with pytest.raises(ValueError, match="at least one mode"):
+        current_divergence([], fd)
 
 
 def test_radiation_solve_example():
@@ -206,6 +246,8 @@ def test_radiation_pairing_validation():
         radiation_residual(a, b)
     with pytest.raises(ValueError):
         radiation_residual(a, PlaneWaveField(()))
+    with pytest.raises(ValueError, match="at least one mode"):
+        radiation_residual(PlaneWaveField(()), PlaneWaveField(()))
 
 
 def test_current_quaternion_assembly():
