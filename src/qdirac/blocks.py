@@ -16,7 +16,7 @@ statement inherited by the 4x4 scalar trace.
 
 from __future__ import annotations
 
-from .quaternion import Quat
+from .quaternion import _SCALARS, Quat, _max_abs
 
 __all__ = [
     "Reflector",
@@ -25,8 +25,6 @@ __all__ = [
     "block_power",
     "identity_rotator",
 ]
-
-_SCALARS = (int, float, complex)
 
 
 def _as_quat(x) -> Quat:
@@ -95,7 +93,8 @@ class _Block:
         return type(self)(self.upper.temporal_part(), self.lower.temporal_part())
 
     def max_abs(self) -> float:
-        return max(self.upper.max_abs(), self.lower.max_abs())
+        """Largest component modulus of both blocks; NaN when any is NaN."""
+        return _max_abs(self.upper.components + self.lower.components)
 
 
 class Rotator(_Block):

@@ -165,7 +165,7 @@ def spinor_to_pair(amplitude, lift: str = "G") -> BispinorPair:
 def _check_ideal(q: Quat, sign: int, tol: float) -> None:
     resid = q * ideal_factor(sign) - 2.0 * q
     scale = max(1.0, q.max_abs())
-    if resid.max_abs() > tol * scale:
+    if not resid.max_abs() <= tol * scale:  # NaN fails too
         raise IdealViolation(
             "quaternion is not in the (1 %+d*i*i3) ideal" % sign
         )
@@ -312,22 +312,36 @@ def pair_system_matrix(
     purely from quaternion algebra, it provides a route to the spectrum
     independent of the eigensolver.
     """
+    try:
+        basis = _BASIS_PAIRS[lift]
+    except KeyError:
+        raise ValueError("lift must be 'G' or 'L'") from None
     p = np.asarray(p, dtype=float)
     sym = Quat(energy, 1j * p[0], 1j * p[1], 1j * p[2])
     a = fd.euclidean_potential
     m = Quat(fd.euclidean_mass)
     coupled = sym - 1j * a
-    sign = _ideal_sign(lift)
-    factor = ideal_factor(sign)
+    coupled_c, m_c = coupled.quat_conj(), m.quat_conj()
     project = map_F if lift == "G" else map_N
-    out = np.zeros((4, 4), dtype=complex)
+    out = np.empty((4, 4), dtype=complex)
+    for j, (phi1, phi2) in enumerate(basis):
+        out[:2, j] = project(coupled_c * phi1 - phi2 * m)
+        out[2:, j] = project(coupled * phi2 + phi1 * m_c)
+    out /= 2.0
+    return out
+
+
+def _basis_pairs(lift: str) -> tuple[tuple[Quat, Quat], ...]:
+    """Bispinor pairs of the four unit columns, as ``spinor_to_pair`` lifts them."""
+    factor = ideal_factor(_ideal_sign(lift))
+    pairs = []
     for j in range(4):
         col = np.zeros(4, dtype=complex)
         col[j] = 1.0
-        phi1 = _lift(col[:2], lift) * factor
-        phi2 = _lift(col[2:], lift) * factor
-        r1 = coupled.quat_conj() * phi1 - phi2 * m
-        r2 = coupled * phi2 + phi1 * m.quat_conj()
-        out[:2, j] = project(r1) / 2.0
-        out[2:, j] = project(r2) / 2.0
-    return out
+        pairs.append((_lift(col[:2], lift) * factor, _lift(col[2:], lift) * factor))
+    return tuple(pairs)
+
+
+# the residual is linear in the unknown columns, so pair_system_matrix takes
+# its columns from the residuals of these fixed basis pairs
+_BASIS_PAIRS = {lift: _basis_pairs(lift) for lift in ("G", "L")}

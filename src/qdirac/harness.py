@@ -103,6 +103,8 @@ class CaseResult:
     max_residual: float
     passed: bool
     tol: float
+    kind: str
+    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -210,12 +212,14 @@ def fd_apply_D(grid: Grid4, conjugate: bool = False) -> Grid4:
 
 def embed4(x) -> np.ndarray:
     """Dense 4x4 complex embedding of a reflector or rotator."""
-    up = qt.to_matrix(x.upper)
-    lo = qt.to_matrix(x.lower)
-    z = np.zeros((2, 2), dtype=complex)
+    out = np.zeros((4, 4), dtype=complex)
     if isinstance(x, bl.Rotator):
-        return np.block([[up, z], [z, lo]])
-    return np.block([[z, up], [lo, z]])
+        out[:2, :2] = qt.to_matrix(x.upper)
+        out[2:, 2:] = qt.to_matrix(x.lower)
+    else:
+        out[:2, 2:] = qt.to_matrix(x.upper)
+        out[2:, :2] = qt.to_matrix(x.lower)
+    return out
 
 
 def rotation_matrix3(axis, angle: float) -> np.ndarray:
@@ -245,11 +249,12 @@ def boost_matrix4(axis, rapidity: float) -> np.ndarray:
 
 def quat_to_minkowski(q: Quat) -> np.ndarray:
     """Real Minkowski components of a Euclidean four-vector quaternion."""
-    c = np.array(q.components)
-    v = np.array([1j * c[0], c[1], c[2], c[3]])
-    if np.max(np.abs(v.imag)) > 1e-9 * max(1.0, float(np.max(np.abs(v)))):
+    c0, c1, c2, c3 = q.components
+    t = 1j * c0
+    scale = max(1.0, abs(t), abs(c1), abs(c2), abs(c3))
+    if max(abs(t.imag), abs(c1.imag), abs(c2.imag), abs(c3.imag)) > 1e-9 * scale:
         raise ValueError("quaternion is not a Euclidean four-vector")
-    return v.real
+    return np.array([t.real, c1.real, c2.real, c3.real])
 
 
 def minkowski_to_quat(v) -> Quat:
@@ -365,7 +370,7 @@ def _n_draws(cfg) -> list[int]:
 # residual helpers shared by the cases
 
 def _max_abs(x) -> float:
-    return float(np.max(np.abs(x)))
+    return float(np.abs(x).max())
 
 
 def _raises(exc, fn, *args) -> float:
@@ -803,25 +808,43 @@ def _case_ideal_membership(rng, cfg):
             yield (phi * factor - 2.0 * phi).max_abs()
 
 
-def _case_eigenvalue_match(rng, cfg):
+def _rand_spectra(rng, cfg, extra=None):
+    """Draw each trial's field, momentum and ``extra(rng)`` in turn, then
+    take all the Hamiltonian spectra in one stacked ``eigvalsh`` call."""
+    draws = []
     for _ in range(cfg.trials):
         fd = rand_field(rng, with_potential=True)
         p = rand_momentum(rng)
-        energies = np.linalg.eigvalsh(dr.dirac_hamiltonian(p, fd))
-        for lift in ("G", "L"):
-            for e in energies:
-                system = dr.pair_system_matrix(float(e), p, fd, lift)
-                yield float(np.linalg.svd(system, compute_uv=False)[-1])
+        draws.append((fd, p, None if extra is None else extra(rng)))
+    spectra = np.linalg.eigvalsh(
+        np.stack([dr.dirac_hamiltonian(p, fd) for fd, p, _ in draws])
+    )
+    return draws, spectra
+
+
+def _smallest_singular_values(systems) -> np.ndarray:
+    return np.linalg.svd(np.stack(systems), compute_uv=False)[:, -1]
+
+
+def _case_eigenvalue_match(rng, cfg):
+    draws, spectra = _rand_spectra(rng, cfg)
+    systems = [
+        dr.pair_system_matrix(float(e), p, fd, lift)
+        for (fd, p, _), energies in zip(draws, spectra)
+        for lift in ("G", "L")
+        for e in energies
+    ]
+    yield from _smallest_singular_values(systems).tolist()
 
 
 def _case_off_eigenvalue_nonsingular(rng, cfg):
-    for _ in range(cfg.trials):
-        fd = rand_field(rng, with_potential=True)
-        p = rand_momentum(rng)
-        energies = np.linalg.eigvalsh(dr.dirac_hamiltonian(p, fd))
-        e = float(energies[-1]) + rng.uniform(0.5, 1.5)
-        sigma = np.linalg.svd(dr.pair_system_matrix(e, p, fd), compute_uv=False)
-        yield 1.0 if sigma[-1] < 1e-3 else 0.0
+    draws, spectra = _rand_spectra(rng, cfg, lambda rng: rng.uniform(0.5, 1.5))
+    systems = [
+        dr.pair_system_matrix(float(energies[-1]) + shift, p, fd)
+        for (fd, p, shift), energies in zip(draws, spectra)
+    ]
+    for sigma in _smallest_singular_values(systems):
+        yield 1.0 if sigma < 1e-3 else 0.0
 
 
 def _case_massless_mode(rng, cfg):
@@ -856,13 +879,11 @@ def _case_rest_frame_values(rng, cfg):
 # ---------------------------------------------------------------------------
 # symmetries suite
 
-def _state_gap(a: dr.DiracState, b: dr.DiracState) -> float:
-    return max(
-        (a.d - b.d).max_abs(),
-        (a.a - b.a).max_abs(),
-        (a.phi - b.phi).max_abs(),
-        (a.m - b.m).max_abs(),
-    )
+def _state_gaps(a: dr.DiracState, b: dr.DiracState):
+    yield (a.d - b.d).max_abs()
+    yield (a.a - b.a).max_abs()
+    yield (a.phi - b.phi).max_abs()
+    yield (a.m - b.m).max_abs()
 
 
 def _case_parity_preserves(rng, cfg):
@@ -882,7 +903,7 @@ def _case_involutions(rng, cfg):
         state = _rand_state(rng)
         for kind in ("parity", "time_reversal", "charge_conjugation"):
             twice = dr.apply_discrete(dr.apply_discrete(state, kind), kind)
-            yield _state_gap(twice, state)
+            yield from _state_gaps(twice, state)
 
 
 def _case_charge_conjugation_flips_potential(rng, cfg):
@@ -1249,7 +1270,7 @@ def _suite_cases(name: str) -> list[_Case]:
 
 
 def _run_case(case: _Case, rng: np.random.Generator, cfg: SuiteConfig) -> CaseResult:
-    """Run one case and reduce the residuals it yields to the largest.
+    """Run and time one case, and reduce the residuals it yields to the largest.
 
     Only ``residual`` tolerances scale with ``cfg.tol``.  A NaN residual
     makes the largest NaN, which fails; so does a case that yields nothing.
@@ -1258,6 +1279,7 @@ def _run_case(case: _Case, rng: np.random.Generator, cfg: SuiteConfig) -> CaseRe
     """
     scale = cfg.tol / _REFERENCE_TOL if case.kind == "residual" else 1.0
     tol = case.tol * scale
+    start = time.perf_counter()
     try:
         residuals = np.fromiter(case.fn(rng, cfg), dtype=float)
     except Exception as exc:  # a faulty case must not stop the suite
@@ -1265,12 +1287,15 @@ def _run_case(case: _Case, rng: np.random.Generator, cfg: SuiteConfig) -> CaseRe
             "case %s raised %s: %s" % (case.name, type(exc).__name__, exc),
             file=sys.stderr,
         )
-        return CaseResult(case.name, math.inf, False, tol)
-    if residuals.size == 0:
-        print("case %s yielded no residuals" % case.name, file=sys.stderr)
-        return CaseResult(case.name, math.nan, False, tol)
-    worst = float(np.max(residuals))
-    return CaseResult(case.name, worst, worst <= tol, tol)
+        worst = math.inf
+    else:
+        if residuals.size == 0:
+            print("case %s yielded no residuals" % case.name, file=sys.stderr)
+            worst = math.nan
+        else:
+            worst = float(np.max(residuals))
+    elapsed = time.perf_counter() - start
+    return CaseResult(case.name, worst, worst <= tol, tol, case.kind, elapsed)
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
@@ -1308,6 +1333,9 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
                     "name": c.name,
                     "max_residual": "%.9e" % c.max_residual,
                     "pass": c.passed,
+                    "tol": c.tol,
+                    "kind": c.kind,
+                    "elapsed": c.elapsed,
                 }
                 for c in report.cases
             ],

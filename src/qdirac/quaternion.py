@@ -16,11 +16,19 @@ light cone).
 
 A faithful 2x2 complex matrix representation is available through
 ``to_matrix``/``from_matrix``.
+
+Finiteness is checked where a ``Quat`` is built from outside values: the
+``Quat(...)`` constructor, arithmetic with a scalar and ``from_matrix``
+raise ``ValueError`` on a non-finite component.  Products, sums and
+conjugations of two quaternions are built unchecked, so an overflow there
+gives inf or NaN components; ``max_abs`` keeps a NaN, so a residual
+taken from such a result reads NaN rather than a smaller number.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -66,7 +74,7 @@ class Quat:
     def __add__(self, other):
         if isinstance(other, Quat):
             a, b = self._c, other._c
-            return Quat(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+            return _of(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
         if isinstance(other, _SCALARS):
             a = self._c
             return Quat(a[0] + other, a[1], a[2], a[3])
@@ -77,7 +85,7 @@ class Quat:
     def __sub__(self, other):
         if isinstance(other, Quat):
             a, b = self._c, other._c
-            return Quat(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
+            return _of(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
         if isinstance(other, _SCALARS):
             a = self._c
             return Quat(a[0] - other, a[1], a[2], a[3])
@@ -88,13 +96,13 @@ class Quat:
 
     def __neg__(self):
         a = self._c
-        return Quat(-a[0], -a[1], -a[2], -a[3])
+        return _of(-a[0], -a[1], -a[2], -a[3])
 
     def __mul__(self, other):
         if isinstance(other, Quat):
             a0, a1, a2, a3 = self._c
             b0, b1, b2, b3 = other._c
-            return Quat(
+            return _of(
                 a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
                 a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
                 a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
@@ -132,17 +140,17 @@ class Quat:
 
     def quat_conj(self) -> "Quat":
         a = self._c
-        return Quat(a[0], -a[1], -a[2], -a[3])
+        return _of(a[0], -a[1], -a[2], -a[3])
 
     def complex_conj(self) -> "Quat":
         a = self._c
-        return Quat(
+        return _of(
             a[0].conjugate(), a[1].conjugate(), a[2].conjugate(), a[3].conjugate()
         )
 
     def herm_conj(self) -> "Quat":
         a = self._c
-        return Quat(
+        return _of(
             a[0].conjugate(),
             -a[1].conjugate(),
             -a[2].conjugate(),
@@ -158,10 +166,10 @@ class Quat:
     @property
     def spatial(self) -> "Quat":
         a = self._c
-        return Quat(0.0, a[1], a[2], a[3])
+        return _of(0j, a[1], a[2], a[3])
 
     def temporal_part(self) -> "Quat":
-        return Quat(self._c[0])
+        return _of(self._c[0], 0j, 0j, 0j)
 
     def modulus(self) -> complex:
         # q.quat_conj() * q collapses to the complex sum of squared components
@@ -177,10 +185,31 @@ class Quat:
         return self.quat_conj() / m
 
     def max_abs(self) -> float:
-        return max(abs(z) for z in self._c)
+        """Largest component modulus; NaN when any component is NaN."""
+        return _max_abs(self._c)
 
     def is_real(self, tol: float = 1e-12) -> bool:
         return all(abs(z.imag) <= tol for z in self._c)
+
+
+_new = object.__new__
+
+
+def _of(a0: complex, a1: complex, a2: complex, a3: complex) -> Quat:
+    """Unchecked constructor for results of quaternion arithmetic.
+
+    The components must already be Python complex numbers; they are stored
+    as given, without ``complex()`` or the finiteness check.
+    """
+    q = _new(Quat)
+    q._c = (a0, a1, a2, a3)
+    return q
+
+
+def _max_abs(values) -> float:
+    moduli = [abs(z) for z in values]
+    # max() keeps whichever of two operands comes first when one is NaN
+    return math.nan if any(map(math.isnan, moduli)) else max(moduli)
 
 
 ZERO = Quat()

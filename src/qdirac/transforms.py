@@ -124,29 +124,48 @@ def pattern_rotate(pattern: str, r: Rotor, q: Quat) -> Quat:
         ) from None
 
 
-def _real_vec4(q: Quat) -> np.ndarray:
-    c = np.array(q.components)
-    scale = max(1.0, float(np.max(np.abs(c))))
-    if float(np.max(np.abs(c.imag))) > 1e-9 * scale:
+def _real_vec4(q: Quat) -> tuple[float, float, float, float]:
+    c0, c1, c2, c3 = q.components
+    scale = max(1.0, abs(c0), abs(c1), abs(c2), abs(c3))
+    if max(abs(c0.imag), abs(c1.imag), abs(c2.imag), abs(c3.imag)) > 1e-9 * scale:
         raise ValueError("expected a quaternion with real components")
-    return c.real
+    return c0.real, c1.real, c2.real, c3.real
 
 
-def _rotor_direction(r: Rotor) -> np.ndarray:
+def _dot3(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> tuple[float, float, float]:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _rotor_direction(r: Rotor) -> tuple[float, float, float]:
     v = _real_vec4(r.value)[1:]
-    norm = np.linalg.norm(v)
+    norm = math.sqrt(_dot3(v, v))
     if norm < 1e-12:
         raise DegenerateProjection("rotor has no spatial direction")
-    return v / norm
+    return v[0] / norm, v[1] / norm, v[2] / norm
 
 
-def _spatial_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # right-handed in-plane frame (v1, v2) with v1 x v2 = +axis
-    e = np.zeros(3)
-    e[int(np.argmin(np.abs(axis)))] = 1.0
-    v1 = np.cross(axis, e)
-    v1 /= np.linalg.norm(v1)
-    return v1, np.cross(axis, v1)
+def _spatial_frame(axis) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # right-handed in-plane frame (v1, v2) with v1 x v2 = +axis, started
+    # from the basis vector along the smallest axis component
+    x, y, z = abs(axis[0]), abs(axis[1]), abs(axis[2])
+    if x <= y and x <= z:
+        e = (1.0, 0.0, 0.0)
+    elif y <= z:
+        e = (0.0, 1.0, 0.0)
+    else:
+        e = (0.0, 0.0, 1.0)
+    v1 = _cross(axis, e)
+    norm = math.sqrt(_dot3(v1, v1))
+    v1 = (v1[0] / norm, v1[1] / norm, v1[2] / norm)
+    return v1, _cross(axis, v1)
 
 
 def _wrap(a: float) -> float:
@@ -163,15 +182,15 @@ def plane_angle(r: Rotor, q: Quat, q_after: Quat, plane: str, tol: float = 1e-9)
     axis = _rotor_direction(r)
     a, b = _real_vec4(q), _real_vec4(q_after)
     if plane == "temporal":
-        pa = np.array([a[0], a[1:] @ axis])
-        pb = np.array([b[0], b[1:] @ axis])
+        pa = (a[0], _dot3(a[1:], axis))
+        pb = (b[0], _dot3(b[1:], axis))
     elif plane == "spatial":
         v1, v2 = _spatial_frame(axis)
-        pa = np.array([a[1:] @ v1, a[1:] @ v2])
-        pb = np.array([b[1:] @ v1, b[1:] @ v2])
+        pa = (_dot3(a[1:], v1), _dot3(a[1:], v2))
+        pb = (_dot3(b[1:], v1), _dot3(b[1:], v2))
     else:
         raise ValueError("plane must be 'temporal' or 'spatial'")
-    if np.linalg.norm(pa) < tol or np.linalg.norm(pb) < tol:
+    if math.hypot(*pa) < tol or math.hypot(*pb) < tol:
         raise DegenerateProjection("projection onto the %s plane is degenerate" % plane)
     return _wrap(math.atan2(pb[1], pb[0]) - math.atan2(pa[1], pa[0]))
 

@@ -9,7 +9,7 @@ from qdirac.blocks import (
     similarity,
 )
 from qdirac.harness import embed4
-from qdirac.quaternion import I1, ONE, Quat, SingularQuaternion
+from qdirac.quaternion import I1, ONE, Quat, SingularQuaternion, to_matrix
 from qdirac.transforms import rotor_blocks, rotor_boost, rotor_spatial, TransformSpec
 
 
@@ -176,3 +176,22 @@ def test_block_power():
     undo = block_power(r, -1) * r
     assert np.max(np.abs(embed4(undo) - ident)) < 1e-12
     assert np.max(np.abs(embed4(block_power(r, 0)) - ident)) == 0.0
+
+
+def test_embed4_matches_block_reference():
+    rng = np.random.default_rng(9)
+    z = np.zeros((2, 2), dtype=complex)
+    for _ in range(50):
+        u, l = rand_quat(rng), rand_quat(rng)
+        up, lo = to_matrix(u), to_matrix(l)
+        assert embed4(Rotator(u, l)).tobytes() == np.block([[up, z], [z, lo]]).tobytes()
+        assert embed4(Reflector(u, l)).tobytes() == np.block([[z, up], [lo, z]]).tobytes()
+
+
+def test_blocks_accept_numpy_scalars():
+    # the scalars Quat accepts: Python and numpy ints, floats and complexes
+    assert Reflector(np.int64(1), 1.0) == Reflector(ONE, ONE)
+    assert Rotator(np.float64(2.0), np.complex128(1j)) == Rotator(Quat(2.0), Quat(1j))
+    assert Reflector(ONE, I1) * np.float64(2.0) == Reflector(Quat(2.0), Quat(0, 2.0))
+    with pytest.raises(TypeError):
+        Reflector("1", 1.0)

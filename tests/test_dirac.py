@@ -20,7 +20,7 @@ from qdirac.dirac import (
     transform_state,
 )
 from qdirac.quaternion import I3, ONE, Quat
-from qdirac.spinor_maps import ideal_factor
+from qdirac.spinor_maps import ideal_factor, lift_G, lift_L, map_F, map_N
 from qdirac.transforms import TransformSpec, rotor_boost, rotor_spatial
 
 
@@ -271,6 +271,32 @@ def test_system_matrix_singular_exactly_at_eigenvalues():
         off = float(energies[-1]) + 1.0
         sv = np.linalg.svd(pair_system_matrix(off, p, fd), compute_uv=False)
         assert sv[-1] > 1e-3
+
+
+def test_system_matrix_equals_column_build():
+    # reference: lift each unit column and right-multiply by the ideal factor
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        fd = rand_field(rng)
+        p = rng.uniform(-2.0, 2.0, 3)
+        energy = rng.uniform(-3.0, 3.0)
+        sym = Quat(energy, 1j * p[0], 1j * p[1], 1j * p[2])
+        coupled = sym - 1j * fd.euclidean_potential
+        m = Quat(fd.euclidean_mass)
+        for lift, lift_fn, project, sign in (("G", lift_G, map_F, 1), ("L", lift_L, map_N, -1)):
+            want = np.zeros((4, 4), dtype=complex)
+            for j in range(4):
+                col = np.zeros(4, dtype=complex)
+                col[j] = 1.0
+                phi1 = lift_fn(col[:2]) * ideal_factor(sign)
+                phi2 = lift_fn(col[2:]) * ideal_factor(sign)
+                r1 = coupled.quat_conj() * phi1 - phi2 * m
+                r2 = coupled * phi2 + phi1 * m.quat_conj()
+                want[:2, j] = project(r1) / 2.0
+                want[2:, j] = project(r2) / 2.0
+            assert pair_system_matrix(energy, p, fd, lift).tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        pair_system_matrix(1.0, p, fd, "N")
 
 
 def test_field_data_euclidean_structure():

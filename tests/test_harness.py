@@ -117,6 +117,8 @@ def test_list_suites():
 def _strip_elapsed(payload: str) -> dict:
     obj = json.loads(payload)
     obj.pop("elapsed")
+    for case in obj["cases"]:
+        case.pop("elapsed")
     return obj
 
 
@@ -136,9 +138,12 @@ def test_report_json_schema():
     assert payload["pass"] is True
     assert isinstance(payload["elapsed"], float)
     assert payload["config"]["trials"] == 10
-    for case in payload["cases"]:
-        assert set(case) == {"name", "max_residual", "pass"}
+    for case, registered in zip(payload["cases"], hz.SUITES["maps"]):
+        assert set(case) == {"name", "max_residual", "pass", "tol", "kind", "elapsed"}
         float(case["max_residual"])  # scientific-notation decimal string
+        assert case["tol"] == registered.tol and case["kind"] == registered.kind
+        assert isinstance(case["elapsed"], float) and case["elapsed"] >= 0.0
+    assert len(payload["cases"]) == len(hz.SUITES["maps"])
     text = emit_report(report, "text")
     assert "result: PASS" in text
     with pytest.raises(ValueError):
@@ -189,6 +194,19 @@ def test_nan_residual_fails(monkeypatch):
     assert {c["name"]: c["max_residual"] for c in cases}["fg_identity"] == "nan"
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowing_product_fails(monkeypatch, capsys):
+    # products are not checked for finiteness: inf - inf reaches the residual
+    # as NaN and fails the case
+    big = Quat(1e200, 1e200, 1e200, 1e200)
+    monkeypatch.setattr(hz, "rand_complex_quat", lambda rng: big)
+    code = cli.main(["verify", "algebra", "--trials", "3", "--format", "json"])
+    assert code == 1
+    cases = {c["name"]: c for c in json.loads(capsys.readouterr().out)["cases"]}
+    assert cases["associativity"]["max_residual"] == "nan"
+    assert cases["associativity"]["pass"] is False
+
+
 def test_guard_tolerance_does_not_scale(monkeypatch):
     # with inversion never raising, the guard yields 1.0; at --tol 3e-10 a
     # scaled guard tolerance would be 1.5 and let it pass
@@ -228,8 +246,10 @@ def test_exception_in_case_is_a_fail_line(monkeypatch, capsys, exc_type):
     assert code == 1
     payload = json.loads(out)
     cases = {c["name"]: c for c in payload["cases"]}
+    assert isinstance(cases["fg_identity"].pop("elapsed"), float)
     assert cases["fg_identity"] == {
-        "name": "fg_identity", "max_residual": "inf", "pass": False
+        "name": "fg_identity", "max_residual": "inf", "pass": False,
+        "tol": 1e-12, "kind": "residual",
     }
     # the remaining cases still ran
     assert cases["nl_identity"]["pass"] is True

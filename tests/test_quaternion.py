@@ -1,5 +1,10 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+
+from qdirac.blocks import Reflector
 
 from qdirac.quaternion import (
     BASIS,
@@ -13,6 +18,7 @@ from qdirac.quaternion import (
     from_matrix,
     to_matrix,
 )
+from qdirac.spinor_maps import lift_G
 
 
 def rand_quat(rng):
@@ -159,6 +165,33 @@ def test_nonfinite_components_rejected():
         Quat(float("nan"))
     with pytest.raises(ValueError):
         Quat(0, float("inf"))
+
+
+def test_finiteness_is_checked_at_entry_only():
+    # a product of two quaternions is not checked: it overflows to inf
+    big = Quat(1e200)
+    product = big * big
+    assert not cmath.isfinite(product.temporal)
+    assert not cmath.isfinite((big.quat_conj() * big - ONE).temporal)
+    # values that enter from outside are
+    with pytest.raises(ValueError):
+        Quat(float("inf"))
+    with pytest.raises(ValueError):
+        big * 1e200
+    with pytest.raises(ValueError):
+        lift_G(np.array([np.inf, 0.0]))
+    with pytest.raises(ValueError):
+        from_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_max_abs_keeps_nan():
+    # (1, nan, 0, 0): max() over the moduli would drop the NaN and read 1.0
+    x = Quat(0.0, 1e200) * Quat(1e200)
+    gap = (x - x) + ONE
+    assert gap.components[0] == 1.0 and math.isnan(gap.components[1].real)
+    assert math.isnan(gap.max_abs())
+    assert math.isnan(Reflector(ONE, gap).max_abs())
+    assert Quat(1, -3j, 2).max_abs() == 3.0
 
 
 def test_scalar_arithmetic():

@@ -224,3 +224,103 @@ def test_discrete_elements():
 def test_rotor_kind_validation():
     with pytest.raises(ValueError):
         Rotor(ONE, "twist")
+
+
+def _numpy_plane_angle(r, q, q_after, plane, tol=1e-9):
+    """The numpy implementation that ``plane_angle`` replaced, as a reference."""
+
+    def real_vec4(x):
+        c = np.array(x.components)
+        scale = max(1.0, float(np.max(np.abs(c))))
+        if float(np.max(np.abs(c.imag))) > 1e-9 * scale:
+            raise ValueError("expected a quaternion with real components")
+        return c.real
+
+    v = real_vec4(r.value)[1:]
+    norm = np.linalg.norm(v)
+    if norm < 1e-12:
+        raise DegenerateProjection("rotor has no spatial direction")
+    axis = v / norm
+    a, b = real_vec4(q), real_vec4(q_after)
+    if plane == "temporal":
+        pa = np.array([a[0], a[1:] @ axis])
+        pb = np.array([b[0], b[1:] @ axis])
+    elif plane == "spatial":
+        e = np.zeros(3)
+        e[int(np.argmin(np.abs(axis)))] = 1.0
+        v1 = np.cross(axis, e)
+        v1 /= np.linalg.norm(v1)
+        v2 = np.cross(axis, v1)
+        pa = np.array([a[1:] @ v1, a[1:] @ v2])
+        pb = np.array([b[1:] @ v1, b[1:] @ v2])
+    else:
+        raise ValueError("plane must be 'temporal' or 'spatial'")
+    if np.linalg.norm(pa) < tol or np.linalg.norm(pb) < tol:
+        raise DegenerateProjection("projection onto the %s plane is degenerate" % plane)
+    d = math.atan2(pb[1], pb[0]) - math.atan2(pa[1], pa[0])
+    return math.atan2(math.sin(d), math.cos(d))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DegenerateProjection, ValueError) as exc:
+        return type(exc)
+
+
+def test_plane_angle_matches_numpy_reference():
+    rng = np.random.default_rng(7)
+    # axes along the basis and with tied components exercise the frame choice
+    axes = [np.eye(3)[k] for k in range(3)]
+    axes += [np.array(v) / 6**0.5 for v in ((1.0, 1.0, 2.0), (-2.0, 1.0, -1.0))]
+    for draw in range(2000):
+        axis = axes[draw] if draw < len(axes) else rand_unit3(rng)
+        r = rotor_spatial(axis, rng.uniform(0.05, math.pi - 0.05))
+        q = Quat(*rng.uniform(-1, 1, 4))
+        q_after = pattern_rotate(ROTATION_PATTERNS[draw % 8], r, q)
+        for plane in ("spatial", "temporal"):
+            for tol in (1e-9, 0.05):
+                want = _outcome(_numpy_plane_angle, r, q, q_after, plane, tol)
+                got = _outcome(plane_angle, r, q, q_after, plane, tol)
+                if isinstance(want, float):
+                    assert abs(got - want) <= 1e-14
+                else:
+                    assert got is want
+
+
+def _in_plane_quat(axis, plane, s, rng):
+    """A real quaternion whose projection into ``plane`` has length s."""
+    theta = rng.uniform(-math.pi, math.pi)
+    frame = np.linalg.svd(axis[None, :])[2][1:]  # orthonormal pair normal to axis
+    off = rng.uniform(-1, 1)
+    if plane == "temporal":
+        vec = s * math.sin(theta) * axis + off * frame[0]
+        return Quat(s * math.cos(theta), *vec)
+    vec = off * axis + s * (math.cos(theta) * frame[0] + math.sin(theta) * frame[1])
+    return Quat(rng.uniform(-1, 1), *vec)
+
+
+def test_plane_angle_raises_where_numpy_reference_raises():
+    rng = np.random.default_rng(8)
+    tol = 0.05
+    for _ in range(300):
+        axis = rand_unit3(rng)
+        r = rotor_spatial(axis, rng.uniform(0.05, math.pi - 0.05))
+        for plane in ("spatial", "temporal"):
+            for factor in (1 - 1e-9, 1 + 1e-9):
+                q = _in_plane_quat(axis, plane, tol * factor, rng)
+                want = _outcome(_numpy_plane_angle, r, q, q, plane, tol)
+                got = _outcome(plane_angle, r, q, q, plane, tol)
+                degenerate = DegenerateProjection if factor < 1 else 0.0
+                assert want == degenerate and got == degenerate
+    r = rotor_spatial([0, 0, 1.0], 0.5)
+    q = Quat(0.3, 0.2, -0.5, 0.4)
+    for imag, expected in ((1e-8, ValueError), (1e-10, 0.0)):
+        noisy = Quat(0.3, 0.2 + 1j * imag, -0.5, 0.4)
+        for fn in (_numpy_plane_angle, plane_angle):
+            assert _outcome(fn, r, noisy, q, "spatial") == expected
+    boost = rotor_boost([0, 0, 1.0], 0.5)
+    for fn in (_numpy_plane_angle, plane_angle):
+        assert _outcome(fn, boost, q, q, "spatial") is ValueError
+        assert _outcome(fn, r, q, q, "diagonal") is ValueError
+        assert _outcome(fn, Rotor(ONE, "spatial"), q, q, "diagonal") is DegenerateProjection
