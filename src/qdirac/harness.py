@@ -8,8 +8,9 @@ dense oracles are ``embed4``, ``rotation_matrix4``, ``boost_matrix4`` and
 ``quat_to_minkowski``/``minkowski_to_quat``.
 
 Each suite is an ordered list of cases.  A case is a generator that draws
-its instances from a counter-based generator keyed by (seed, position of
-the case in the run) and yields one residual per check; ``_run_case``
+its instances from a counter-based generator keyed by (seed, suite, case
+name), so it draws the same instances under ``all`` as under its own suite,
+and yields one residual per check; ``_run_case``
 reduces them to the largest.  A case passes when that residual is at most
 its pinned tolerance.  Cases come in three kinds: only ``residual``
 tolerances scale with ``cfg.tol / 1e-10``, while ``guard`` cases (yield 0
@@ -281,8 +282,10 @@ def _matrix_oracle(spec: tr.TransformSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # seeded draws
 
-def case_rng(seed: int, index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(index,))
+def case_rng(seed: int, suite: str, case: str) -> np.random.Generator:
+    """Philox generator of one case, keyed by (seed, suite, case name)."""
+    key = tuple(("%s/%s" % (suite, case)).encode())
+    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -1154,8 +1157,6 @@ def _cases(*rows) -> list[_Case]:
     ]
 
 
-# draws are keyed by position in the run, so the order here is part of the
-# reports
 SUITES: dict[str, list[_Case]] = {
     "algebra": _cases(
         (_case_basis_products, 1e-12, "residual"),
@@ -1254,15 +1255,12 @@ def list_suites() -> list[str]:
     return list(SUITES) + ["all"]
 
 
-def _suite_cases(name: str) -> list[_Case]:
+def _suite_cases(name: str) -> list[tuple[str, _Case]]:
+    """The (suite, case) pairs that ``name`` runs, in registry order."""
     if name == "all":
-        return [
-            dataclasses.replace(c, name="%s/%s" % (suite, c.name))
-            for suite, suite_cases in SUITES.items()
-            for c in suite_cases
-        ]
+        return [(suite, c) for suite, suite_cases in SUITES.items() for c in suite_cases]
     try:
-        return SUITES[name]
+        return [(name, c) for c in SUITES[name]]
     except KeyError:
         raise UnknownSuite(
             "unknown suite %r; available: %s" % (name, ", ".join(list_suites()))
@@ -1301,9 +1299,12 @@ def _run_case(case: _Case, rng: np.random.Generator, cfg: SuiteConfig) -> CaseRe
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
     cases = _suite_cases(cfg.suite)
     start = time.perf_counter()
-    results = tuple(
-        _run_case(case, case_rng(cfg.seed, i), cfg) for i, case in enumerate(cases)
-    )
+    results = []
+    for suite, case in cases:
+        rng = case_rng(cfg.seed, suite, case.name)
+        if cfg.suite == "all":
+            case = dataclasses.replace(case, name="%s/%s" % (suite, case.name))
+        results.append(_run_case(case, rng, cfg))
     elapsed = time.perf_counter() - start
     config = {
         "trials": cfg.trials,
@@ -1316,7 +1317,7 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
         suite=cfg.suite,
         seed=cfg.seed,
         config=config,
-        cases=results,
+        cases=tuple(results),
         passed=all(r.passed for r in results),
         elapsed=elapsed,
     )

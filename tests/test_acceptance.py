@@ -21,8 +21,8 @@ def _run_cases(suite: str, names, trials: int, n_set=(-1, 0, 1, 2)) -> float:
     cfg = hz.SuiteConfig(suite=suite, seed=SEED, trials=trials, n_set=n_set)
     by_name = {case.name: case for case in hz.SUITES[suite]}
     residuals = [
-        hz._run_case(by_name[name], hz.case_rng(SEED, 1000 + offset), cfg).max_residual
-        for offset, name in enumerate(names)
+        hz._run_case(by_name[name], hz.case_rng(SEED, suite, name), cfg).max_residual
+        for name in names
     ]
     return float(np.max(residuals))  # a NaN residual stays NaN and fails
 
