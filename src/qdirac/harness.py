@@ -811,14 +811,14 @@ def _case_ideal_membership(rng, cfg):
             yield (phi * factor - 2.0 * phi).max_abs()
 
 
-def _rand_spectra(rng, cfg, extra=None):
-    """Draw each trial's field, momentum and ``extra(rng)`` in turn, then
-    take all the Hamiltonian spectra in one stacked ``eigvalsh`` call."""
+def _rand_spectra(rng, cfg, with_shift: bool = False):
+    """Draw each trial's field, momentum and, ``with_shift``, energy shift in
+    turn, then take all the Hamiltonian spectra in one stacked ``eigvalsh``."""
     draws = []
     for _ in range(cfg.trials):
         fd = rand_field(rng, with_potential=True)
         p = rand_momentum(rng)
-        draws.append((fd, p, None if extra is None else extra(rng)))
+        draws.append((fd, p, rng.uniform(0.5, 1.5) if with_shift else None))
     spectra = np.linalg.eigvalsh(
         np.stack([dr.dirac_hamiltonian(p, fd) for fd, p, _ in draws])
     )
@@ -841,7 +841,7 @@ def _case_eigenvalue_match(rng, cfg):
 
 
 def _case_off_eigenvalue_nonsingular(rng, cfg):
-    draws, spectra = _rand_spectra(rng, cfg, lambda rng: rng.uniform(0.5, 1.5))
+    draws, spectra = _rand_spectra(rng, cfg, with_shift=True)
     systems = [
         dr.pair_system_matrix(float(energies[-1]) + shift, p, fd)
         for (fd, p, shift), energies in zip(draws, spectra)
