@@ -18,7 +18,7 @@ or 1) and ``order`` cases (yield the gap of a convergence ratio from 4)
 keep theirs.  A case fails when any residual is NaN, when it yields none,
 or when it raises; the exception goes to stderr and the other cases still
 run.  Reports are deterministic for a fixed (suite, seed, config) up to
-the elapsed-time field.  The ``qdirac`` command exits 0 when every case
+the elapsed-time fields.  The ``qdirac`` command exits 0 when every case
 passes, 1 when any fails and 2 on a usage or configuration error.
 
 Independent oracles live here rather than in the library modules: the

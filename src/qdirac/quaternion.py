@@ -20,9 +20,10 @@ A faithful 2x2 complex matrix representation is available through
 Finiteness is checked where a ``Quat`` is built from outside values: the
 ``Quat(...)`` constructor, arithmetic with a scalar and ``from_matrix``
 raise ``ValueError`` on a non-finite component.  Products, sums and
-conjugations of two quaternions are built unchecked, so an overflow there
-gives inf or NaN components; ``max_abs`` keeps a NaN, so a residual
-taken from such a result reads NaN rather than a smaller number.
+differences of two quaternions, negation, the conjugations and the
+temporal/spatial parts are built unchecked, so an overflow there gives inf
+or NaN components; ``max_abs`` keeps a NaN, so a residual taken from such
+a result reads NaN rather than a smaller number.
 """
 
 from __future__ import annotations
