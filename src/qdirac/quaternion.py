@@ -193,16 +193,13 @@ class Quat:
         return all(abs(z.imag) <= tol for z in self._c)
 
 
-_new = object.__new__
-
-
 def _of(a0: complex, a1: complex, a2: complex, a3: complex) -> Quat:
     """Unchecked constructor for results of quaternion arithmetic.
 
     The components must already be Python complex numbers; they are stored
     as given, without ``complex()`` or the finiteness check.
     """
-    q = _new(Quat)
+    q = object.__new__(Quat)
     q._c = (a0, a1, a2, a3)
     return q
 

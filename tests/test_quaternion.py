@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qdirac.blocks import Reflector
-
 from qdirac.quaternion import (
     BASIS,
     I1,
