@@ -10,9 +10,9 @@ dense oracles are ``embed4``, ``rotation_matrix4``, ``boost_matrix4`` and
 Each suite is an ordered list of cases.  A case is a generator that draws
 its instances from a counter-based generator keyed by (seed, suite, case
 name), so it draws the same instances under ``all`` as under its own suite,
-and yields one residual per check; ``_run_case``
-reduces them to the largest.  A case passes when that residual is at most
-its pinned tolerance.  Cases come in three kinds: only ``residual``
+and yields one residual per check; ``_run_case`` reduces them to the
+largest.  A case passes when that residual is at most its pinned
+tolerance.  Cases come in three kinds: only ``residual``
 tolerances scale with ``cfg.tol / 1e-10``, while ``guard`` cases (yield 0
 or 1) and ``order`` cases (yield the gap of a convergence ratio from 4)
 keep theirs.  A case fails when any residual is NaN, when it yields none,
