@@ -11,7 +11,6 @@ import numpy as np
 
 from qdirac import (
     FieldData,
-    block_residual,
     dirac_hamiltonian,
     pair_residual,
     pair_system_matrix,
@@ -35,7 +34,7 @@ for mode in plane_wave_modes(p, fd):
     state = state_from_mode(mode, fd)
     print(
         "  E=%+.6f  pair residual %.2e  block residual %.2e"
-        % (mode.energy, max(r1.max_abs(), r2.max_abs()), block_residual(state).max_abs())
+        % (mode.energy, max(r1.max_abs(), r2.max_abs()), state.residual().max_abs())
     )
 
 mode = plane_wave_modes(p, fd)[3]

@@ -13,12 +13,11 @@ import numpy as np
 
 from qdirac import (
     FieldData,
-    PlaneWaveField,
     RadiationMode,
     TransformSpec,
     block_current,
     current_divergence,
-    current_sample,
+    euclidean_current,
     pair_current,
     plane_wave_modes,
     radiation_residual,
@@ -31,11 +30,10 @@ from qdirac.quaternion import Quat
 rng = np.random.default_rng(4)
 psi = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
 pair = spinor_to_pair(psi)
-sample = current_sample(psi, pair)
 from_blocks = block_current(pair)
 
 print("current of a random amplitude, three pipelines:")
-print("  column bilinears (Euclidean):", np.round(sample.euclidean, 6))
+print("  column bilinears (Euclidean):", np.round(euclidean_current(psi), 6))
 print("  quaternion temporal parts:   ", np.round(pair_current(pair), 6))
 print("  block-trace route:           ", np.round(from_blocks, 6))
 
@@ -53,12 +51,12 @@ for n in (-1, 0, 1, 2):
 
 print("\nradiation equation per mode:")
 amp = Quat(0.4j, 1.0, -0.3, 0.2)
-source = PlaneWaveField((
+source = (
     RadiationMode(amp, 2.0, [1.0, 0.0, 0.0]),
     RadiationMode(amp * 0.5, 0.3, [0.0, 1.2, 0.0]),
-))
+)
 potential = solve_potential(source)
-for j_mode, a_mode in zip(source.modes, potential.modes):
+for j_mode, a_mode in zip(source, potential):
     print(
         "  omega=%.1f |k|=%.1f: wave operator %.2f, potential amplitude scale %.4f"
         % (

@@ -68,9 +68,7 @@ from .dirac import (
     IdealViolation,
     PlaneWaveMode,
     apply_discrete,
-    block_residual,
     dirac_hamiltonian,
-    mass_blocks,
     momentum_symbol,
     pair_residual,
     pair_system_matrix,
@@ -82,16 +80,13 @@ from .dirac import (
 )
 from .current import (
     CovarianceReport,
-    CurrentSample,
     LightlikeMode,
     NotASolution,
-    PlaneWaveField,
     RadiationMode,
     block_current,
     current_covariance,
     current_divergence,
-    current_quaternion,
-    current_sample,
+    euclidean_current,
     pair_current,
     radiation_residual,
     solve_potential,

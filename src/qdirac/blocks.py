@@ -88,10 +88,6 @@ class _Block:
         """Entrywise complex conjugation; shape is preserved."""
         return type(self)(self.upper.complex_conj(), self.lower.complex_conj())
 
-    def temporal(self):
-        """Replace each block by its temporal part."""
-        return type(self)(self.upper.temporal_part(), self.lower.temporal_part())
-
     def max_abs(self) -> float:
         """Largest component modulus of both blocks; NaN when any is NaN."""
         return _max_abs(self.upper.components + self.lower.components)

@@ -91,7 +91,6 @@ def main(argv=None) -> int:
             tol=args.tol,
             n_set=args.n,
             grid_h=args.grid_h,
-            fmt=args.format,
         )
         report = run_suite(cfg)
     except (UnknownSuite, ValueError) as exc:

@@ -39,14 +39,11 @@ from .transforms import TransformSpec, rotor_blocks
 __all__ = [
     "NotASolution",
     "LightlikeMode",
-    "CurrentSample",
     "RadiationMode",
-    "PlaneWaveField",
     "CovarianceReport",
     "spinor_current",
-    "current_sample",
+    "euclidean_current",
     "pair_current",
-    "current_quaternion",
     "block_current",
     "current_divergence",
     "current_covariance",
@@ -55,6 +52,10 @@ __all__ = [
 ]
 
 _K_COEFF = -0.25j  # shared coefficient of every current component
+# each mode offered to current_divergence must solve its equation to this
+_SOLUTION_TOL = 1e-8
+# solve_potential rejects a wave-operator symbol below this times its scale
+_LIGHTLIKE_TOL = 1e-9
 
 
 class NotASolution(ValueError):
@@ -63,15 +64,6 @@ class NotASolution(ValueError):
 
 class LightlikeMode(ZeroDivisionError):
     """The wave-operator symbol vanishes for this mode."""
-
-
-@dataclass(frozen=True)
-class CurrentSample:
-    """One amplitude's current in all bookkeeping conventions."""
-
-    minkowski: np.ndarray  # 4 real components
-    euclidean: np.ndarray  # 4 complex components, temporal divided by i
-    quat: Quat             # components assembled on the quaternion basis
 
 
 def spinor_current(psi) -> np.ndarray:
@@ -104,16 +96,10 @@ def pair_current(pair: BispinorPair, other: BispinorPair | None = None) -> np.nd
     return out
 
 
-def current_quaternion(j) -> Quat:
-    return Quat(j[0], j[1], j[2], j[3])
-
-
-def current_sample(psi, pair: BispinorPair) -> CurrentSample:
-    j_mink = spinor_current(psi)
-    j_eucl = np.array(
-        [j_mink[0] / 1j, j_mink[1], j_mink[2], j_mink[3]], dtype=complex
-    )
-    return CurrentSample(j_mink, j_eucl, current_quaternion(pair_current(pair)))
+def euclidean_current(psi) -> np.ndarray:
+    """``spinor_current`` in Euclidean components: the temporal one divided by i."""
+    j = spinor_current(psi)
+    return np.array([j[0] / 1j, j[1], j[2], j[3]], dtype=complex)
 
 
 def _phi_blocks(pair: BispinorPair) -> Reflector:
@@ -171,11 +157,10 @@ def current_divergence(
     solutions: list[tuple[BispinorPair, PlaneWaveMode]],
     fd: FieldData,
     spec: TransformSpec | None = None,
-    tol: float = 1e-8,
 ) -> float:
     """Largest mode-pair coefficient of the symbolic four-divergence.
 
-    Every mode must solve the zero-potential equation to ``tol``; a
+    Every mode must solve the zero-potential equation to 1e-8; a
     transform spec, when given, transforms the spinor, dagger-spinor,
     coefficient and basis blocks by their respective laws while the phase
     factors (and hence the difference symbols) stay put.  Row ``a`` of the
@@ -188,7 +173,8 @@ def current_divergence(
     syms = np.empty((len(solutions), 4), dtype=complex)
     for a, (pair, mode) in enumerate(solutions):
         r1, r2 = pair_residual(pair, mode, fd)
-        if not (r1.max_abs() <= tol and r2.max_abs() <= tol):  # NaN fails too
+        # NaN fails too
+        if not (r1.max_abs() <= _SOLUTION_TOL and r2.max_abs() <= _SOLUTION_TOL):
             raise NotASolution(
                 "mode with energy %g fails its residual" % mode.energy
             )
@@ -222,7 +208,7 @@ def current_covariance(pair: BispinorPair, spec: TransformSpec) -> CovarianceRep
     left, right = _current_factors([pair], spec)
     worst = float(np.max(np.abs(left[0] @ right[0] - j)))
     r, rc = rotor_blocks(spec)
-    j_quat = current_quaternion(j)
+    j_quat = Quat(*j)
     j_blocks = Reflector(j_quat, j_quat.quat_conj())
     j_after = (r * j_blocks * rc).upper
     return CovarianceReport(worst, j_quat, j_after)
@@ -251,53 +237,40 @@ class RadiationMode:
         return complex(self.omega**2 - float(self.wavevector @ self.wavevector))
 
 
-@dataclass(frozen=True)
-class PlaneWaveField:
-    modes: tuple[RadiationMode, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-
-
-def solve_potential(
-    source: PlaneWaveField, lightlike_tol: float = 1e-9
-) -> PlaneWaveField:
-    """Divide each source mode by its wave-operator symbol."""
+def solve_potential(source) -> tuple[RadiationMode, ...]:
+    """Divide each ``RadiationMode`` of ``source`` by its wave-operator symbol."""
     out = []
-    for mode in source.modes:
+    for mode in source:
         s = mode.wave_operator()
         scale = max(
             1.0, mode.omega**2, float(mode.wavevector @ mode.wavevector)
         )
-        if abs(s) <= lightlike_tol * scale:
+        if abs(s) <= _LIGHTLIKE_TOL * scale:
             raise LightlikeMode(
                 "mode (omega=%g, |k|=%g) is on the light cone"
                 % (mode.omega, float(np.linalg.norm(mode.wavevector)))
             )
         out.append(RadiationMode(mode.amplitude / s, mode.omega, mode.wavevector))
-    return PlaneWaveField(tuple(out))
+    return tuple(out)
 
 
-def radiation_residual(
-    source: PlaneWaveField,
-    potential: PlaneWaveField,
-    spec: TransformSpec | None = None,
-) -> float:
+def radiation_residual(source, potential, spec: TransformSpec | None = None) -> float:
     """Largest block residual of D D A = J over the paired modes.
 
-    Modes are paired by position and must share their four-momentum.  When
+    ``source`` and ``potential`` are sequences of ``RadiationMode``, paired
+    by position; paired modes must share their four-momentum.  When
     a spec is given, the derivative, potential and current reflectors are
     all transformed by the same similarity before evaluating.
     """
-    if len(source.modes) != len(potential.modes):
+    if len(source) != len(potential):
         raise ValueError("source and potential fields must pair their modes")
-    if not source.modes:
+    if not source:
         raise ValueError("the radiation check needs at least one mode")
     transform = None
     if spec is not None:
         transform = rotor_blocks(spec)
     residuals = []
-    for j_mode, a_mode in zip(source.modes, potential.modes):
+    for j_mode, a_mode in zip(source, potential):
         if j_mode.omega != a_mode.omega or np.any(
             j_mode.wavevector != a_mode.wavevector
         ):

@@ -48,9 +48,7 @@ __all__ = [
     "spinor_to_pair",
     "pair_to_spinor",
     "momentum_symbol",
-    "mass_blocks",
     "pair_residual",
-    "block_residual",
     "state_from_mode",
     "transform_state",
     "apply_discrete",
@@ -138,45 +136,46 @@ def plane_wave_modes(p, fd: FieldData) -> list[PlaneWaveMode]:
     ]
 
 
-def _lift(v, lift: str) -> Quat:
-    if lift == "G":
-        return lift_G(v)
-    if lift == "L":
-        return lift_L(v)
-    raise ValueError("lift must be 'G' or 'L'")
+# each lift convention: the column lift, its inverse map, and the sign s of
+# the ideal factor (1 + s*i*i3) that the lifted columns are multiplied by
+_LIFTS = {"G": (lift_G, map_F, 1), "L": (lift_L, map_N, -1)}
+
+# relative tolerance of the ideal-membership check in pair_to_spinor
+_IDEAL_TOL = 1e-9
 
 
-def _ideal_sign(lift: str) -> int:
-    return 1 if lift == "G" else -1
+def _lift_convention(lift: str):
+    try:
+        return _LIFTS[lift]
+    except KeyError:
+        raise ValueError("lift must be 'G' or 'L', got %r" % (lift,)) from None
 
 
 def spinor_to_pair(amplitude, lift: str = "G") -> BispinorPair:
     """Translate a 4-column amplitude into its quaternion bispinor pair."""
+    lift_col, _, sign = _lift_convention(lift)
     psi = np.asarray(amplitude, dtype=complex)
     psi1, psi2 = psi[:2], psi[2:]
     col1 = psi1 + psi2
     col2 = 1j * (psi1 - psi2)
-    factor = ideal_factor(_ideal_sign(lift))
-    return BispinorPair(
-        _lift(col1, lift) * factor, _lift(col2, lift) * factor, lift
-    )
+    factor = ideal_factor(sign)
+    return BispinorPair(lift_col(col1) * factor, lift_col(col2) * factor, lift)
 
 
-def _check_ideal(q: Quat, sign: int, tol: float) -> None:
+def _check_ideal(q: Quat, sign: int) -> None:
     resid = q * ideal_factor(sign) - 2.0 * q
     scale = max(1.0, q.max_abs())
-    if not resid.max_abs() <= tol * scale:  # NaN fails too
+    if not resid.max_abs() <= _IDEAL_TOL * scale:  # NaN fails too
         raise IdealViolation(
             "quaternion is not in the (1 %+d*i*i3) ideal" % sign
         )
 
 
-def pair_to_spinor(pair: BispinorPair, tol: float = 1e-9) -> np.ndarray:
+def pair_to_spinor(pair: BispinorPair) -> np.ndarray:
     """Invert ``spinor_to_pair``; raises IdealViolation off the ideal."""
-    sign = _ideal_sign(pair.lift)
-    _check_ideal(pair.phi1, sign, tol)
-    _check_ideal(pair.phi2, sign, tol)
-    project = map_F if pair.lift == "G" else map_N
+    _, project, sign = _lift_convention(pair.lift)
+    _check_ideal(pair.phi1, sign)
+    _check_ideal(pair.phi2, sign)
     col1 = project(pair.phi1) / 2.0
     col2 = project(pair.phi2) / 2.0
     psi1 = (col1 - 1j * col2) / 2.0
@@ -195,20 +194,13 @@ def momentum_symbol(mode: PlaneWaveMode) -> tuple[Quat, Quat]:
     return sym, sym.quat_conj()
 
 
-def mass_blocks(m: Quat) -> Reflector:
-    return Reflector(m, -m.quat_conj())
-
-
 def pair_residual(
-    pair: BispinorPair,
-    mode: PlaneWaveMode,
-    fd: FieldData,
-    mass: Quat | None = None,
+    pair: BispinorPair, mode: PlaneWaveMode, fd: FieldData
 ) -> tuple[Quat, Quat]:
     """Residuals of the two quaternion equations; (0, 0) exactly on solutions."""
     sym, _ = momentum_symbol(mode)
     a = fd.euclidean_potential
-    m = Quat(fd.euclidean_mass) if mass is None else mass
+    m = Quat(fd.euclidean_mass)
     coupled = sym - 1j * a
     r1 = coupled.quat_conj() * pair.phi1 - pair.phi2 * m
     r2 = coupled * pair.phi2 + pair.phi1 * m.quat_conj()
@@ -230,25 +222,20 @@ class DiracState:
     m: Reflector
 
     def residual(self):
-        return block_residual(self)
+        """(D - iA) Phi - Phi M as a block matrix; zero blocks on solutions."""
+        return (self.d - 1j * self.a) * self.phi - self.phi * self.m
 
 
-def block_residual(state: DiracState):
-    """(D - iA) Phi - Phi M as a block matrix; zero blocks on solutions."""
-    return (state.d - 1j * state.a) * state.phi - state.phi * state.m
-
-
-def state_from_mode(
-    mode: PlaneWaveMode, fd: FieldData, lift: str = "G"
-) -> DiracState:
+def state_from_mode(mode: PlaneWaveMode, fd: FieldData) -> DiracState:
     sym, sym_c = momentum_symbol(mode)
     a = fd.euclidean_potential
-    pair = spinor_to_pair(mode.amplitude, lift)
+    m = Quat(fd.euclidean_mass)
+    pair = spinor_to_pair(mode.amplitude)
     return DiracState(
         d=Reflector(sym, sym_c),
         a=Reflector(a, a.quat_conj()),
         phi=Reflector(pair.phi1, pair.phi2),
-        m=mass_blocks(Quat(fd.euclidean_mass)),
+        m=Reflector(m, -m.quat_conj()),
     )
 
 
@@ -312,17 +299,14 @@ def pair_system_matrix(
     purely from quaternion algebra, it provides a route to the spectrum
     independent of the eigensolver.
     """
-    try:
-        basis = _BASIS_PAIRS[lift]
-    except KeyError:
-        raise ValueError("lift must be 'G' or 'L'") from None
+    _, project, _ = _lift_convention(lift)
+    basis = _BASIS_PAIRS[lift]
     p = np.asarray(p, dtype=float)
     sym = Quat(energy, 1j * p[0], 1j * p[1], 1j * p[2])
     a = fd.euclidean_potential
     m = Quat(fd.euclidean_mass)
     coupled = sym - 1j * a
     coupled_c, m_c = coupled.quat_conj(), m.quat_conj()
-    project = map_F if lift == "G" else map_N
     out = np.empty((4, 4), dtype=complex)
     for j, (phi1, phi2) in enumerate(basis):
         out[:2, j] = project(coupled_c * phi1 - phi2 * m)
@@ -333,15 +317,16 @@ def pair_system_matrix(
 
 def _basis_pairs(lift: str) -> tuple[tuple[Quat, Quat], ...]:
     """Bispinor pairs of the four unit columns, as ``spinor_to_pair`` lifts them."""
-    factor = ideal_factor(_ideal_sign(lift))
+    lift_col, _, sign = _LIFTS[lift]
+    factor = ideal_factor(sign)
     pairs = []
     for j in range(4):
         col = np.zeros(4, dtype=complex)
         col[j] = 1.0
-        pairs.append((_lift(col[:2], lift) * factor, _lift(col[2:], lift) * factor))
+        pairs.append((lift_col(col[:2]) * factor, lift_col(col[2:]) * factor))
     return tuple(pairs)
 
 
 # the residual is linear in the unknown columns, so pair_system_matrix takes
 # its columns from the residuals of these fixed basis pairs
-_BASIS_PAIRS = {lift: _basis_pairs(lift) for lift in ("G", "L")}
+_BASIS_PAIRS = {lift: _basis_pairs(lift) for lift in _LIFTS}

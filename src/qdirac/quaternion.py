@@ -21,9 +21,9 @@ Finiteness is checked where a ``Quat`` is built from outside values: the
 ``Quat(...)`` constructor, arithmetic with a scalar and ``from_matrix``
 raise ``ValueError`` on a non-finite component.  Products, sums and
 differences of two quaternions, negation, the conjugations and the
-temporal/spatial parts are built unchecked, so an overflow there gives inf
-or NaN components; ``max_abs`` keeps a NaN, so a residual taken from such
-a result reads NaN rather than a smaller number.
+spatial part are built unchecked, so an overflow there gives inf or NaN
+components; ``max_abs`` keeps a NaN, so a residual taken from such a
+result reads NaN rather than a smaller number.
 """
 
 from __future__ import annotations
@@ -169,9 +169,6 @@ class Quat:
         a = self._c
         return _of(0j, a[1], a[2], a[3])
 
-    def temporal_part(self) -> "Quat":
-        return _of(self._c[0], 0j, 0j, 0j)
-
     def modulus(self) -> complex:
         # q.quat_conj() * q collapses to the complex sum of squared components
         a = self._c
@@ -188,9 +185,6 @@ class Quat:
     def max_abs(self) -> float:
         """Largest component modulus; NaN when any component is NaN."""
         return _max_abs(self._c)
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return all(abs(z.imag) <= tol for z in self._c)
 
 
 def _of(a0: complex, a1: complex, a2: complex, a3: complex) -> Quat:

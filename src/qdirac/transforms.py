@@ -196,13 +196,13 @@ def plane_angle(r: Rotor, q: Quat, q_after: Quat, plane: str, tol: float = 1e-9)
 
 
 def measure_plane_angles(
-    r: Rotor, q: Quat, q_after: Quat, tol: float = 1e-9
+    r: Rotor, q: Quat, q_after: Quat
 ) -> tuple[float | None, float | None]:
     """Per-plane rotation angles (spatial, temporal); None where degenerate."""
     angles = []
     for plane in ("spatial", "temporal"):
         try:
-            angles.append(plane_angle(r, q, q_after, plane, tol))
+            angles.append(plane_angle(r, q, q_after, plane))
         except DegenerateProjection:
             angles.append(None)
     return angles[0], angles[1]

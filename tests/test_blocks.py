@@ -100,20 +100,6 @@ def test_block_trace():
     assert abs(np.trace(embed4(x)) - 2 * x.trace().temporal) < 1e-13
 
 
-def test_temporal_of():
-    x = Rotator(Quat(2, 1), Quat(0, 0, 3))
-    t = x.temporal()
-    assert (t.upper - Quat(2)).max_abs() == 0.0
-    assert t.lower.max_abs() == 0.0
-    rng = np.random.default_rng(7)
-    a, b = Rotator(rand_quat(rng), rand_quat(rng)), Rotator(
-        rand_quat(rng), rand_quat(rng)
-    )
-    lhs = (a + b).temporal()
-    rhs = a.temporal() + b.temporal()
-    assert (lhs - rhs).max_abs() == 0.0
-
-
 def test_similarity_identity_and_trace_invariance():
     rng = np.random.default_rng(8)
     x = Rotator(rand_quat(rng), rand_quat(rng))

@@ -104,6 +104,16 @@ def test_pair_to_spinor_rejects_off_ideal():
         pair_to_spinor(BispinorPair(ONE, ONE))
 
 
+def test_unknown_lift_raises():
+    # a pair that names no lift must not decode under one of the two, even
+    # when its quaternions lie in that lift's ideal
+    pair = spinor_to_pair(np.array([1.0, 0.5j, -0.25, 2.0]), lift="L")
+    with pytest.raises(ValueError, match="lift must be 'G' or 'L'"):
+        pair_to_spinor(BispinorPair(pair.phi1, pair.phi2, lift="X"))
+    with pytest.raises(ValueError, match="lift must be 'G' or 'L'"):
+        spinor_to_pair(np.ones(4), lift="X")
+
+
 def test_momentum_symbol():
     mode = PlaneWaveMode(1.0, np.zeros(3), np.zeros(4))
     sym, sym_c = momentum_symbol(mode)
