@@ -32,7 +32,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run one suite (or 'all') and report")
     verify.add_argument("suite", help="suite name; see `qdirac list-suites`")
-    verify.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
+    verify.add_argument(
+        "--seed", type=int, default=0, help="non-negative integer seed (default 0)"
+    )
     verify.add_argument(
         "--trials", type=int, default=200, help="random draws per case (default 200)"
     )

@@ -104,24 +104,17 @@ def pattern_rotate(pattern: str, r: Rotor, q: Quat) -> Quat:
 
     'c' marks the quaternion conjugate, so "RQRc" computes R*q*R.quat_conj().
     """
-    v = r.value
-    vc = v.quat_conj()
-    products = {
-        "RQ": lambda: v * q,
-        "QR": lambda: q * v,
-        "RcQ": lambda: vc * q,
-        "QRc": lambda: q * vc,
-        "RQR": lambda: v * q * v,
-        "RQRc": lambda: v * q * vc,
-        "RcQR": lambda: vc * q * v,
-        "RcQRc": lambda: vc * q * vc,
-    }
-    try:
-        return products[pattern]()
-    except KeyError:
+    if pattern not in ROTATION_PATTERNS:
         raise ValueError(
             "unknown pattern %r, expected one of %s" % (pattern, ROTATION_PATTERNS)
-        ) from None
+        )
+    left, right = pattern.split("Q")
+    v = r.value
+    if left:
+        q = (v if left == "R" else v.quat_conj()) * q
+    if right:
+        q = q * (v if right == "R" else v.quat_conj())
+    return q
 
 
 def _real_vec4(q: Quat) -> tuple[float, float, float, float]:

@@ -39,10 +39,21 @@ def _report(number: int, label: str, residual: float, tol: float) -> None:
 def test_criterion_01_algebra_representation():
     worst = _run_cases(
         "algebra",
-        ["matrix_homomorphism", "conjugation_anti_homomorphism", "dot_two_routes"],
+        [
+            "associativity",
+            "matrix_homomorphism",
+            "conjugation_anti_homomorphism",
+            "dot_two_routes",
+        ],
         trials=1000,
     )
     _report(1, "algebra/representation", worst, 1e-12)
+    blocks = _run_cases(
+        "blocks",
+        ["product_vs_embedding", "rotator_conj_anti_homomorphism"],
+        trials=1000,
+    )
+    _report(1, "blocks/dense embedding", blocks, 1e-12)
 
 
 def test_criterion_02_maps():
@@ -116,6 +127,8 @@ def test_criterion_07_discrete_symmetries():
 def test_criterion_08_current_identity():
     worst = _run_cases("current", ["current_pipelines"], trials=1000)
     _report(8, "current pipelines agree", worst, 1e-12)
+    covariance = _run_cases("current", ["current_covariance"], trials=1000)
+    _report(8, "current covariance", covariance, 1e-10)
 
 
 def test_criterion_09_conservation():

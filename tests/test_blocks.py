@@ -53,17 +53,6 @@ def test_parity_rule_types():
     assert isinstance(refl() * refl() * refl() * refl(), Rotator)
 
 
-def test_products_match_dense_embedding():
-    rng = np.random.default_rng(3)
-    for _ in range(1000):
-        mk = lambda: (Reflector if rng.integers(2) == 0 else Rotator)(
-            rand_quat(rng), rand_quat(rng)
-        )
-        x, y = mk(), mk()
-        diff = embed4(x * y) - embed4(x) @ embed4(y)
-        assert np.max(np.abs(diff)) < 1e-12
-
-
 def test_block_conj_examples():
     x = Reflector(I1, ONE).quat_conj()
     assert isinstance(x, Reflector)
@@ -78,16 +67,6 @@ def test_block_conj_examples():
     assert isinstance(z, Rotator)
     assert (z.upper - r.complex_conj()).max_abs() == 0.0
     assert (z.lower + I1 * 1j).max_abs() == 0.0
-
-
-def test_rotator_conj_anti_homomorphism_via_embedding():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        x = Rotator(rand_quat(rng), rand_quat(rng))
-        y = Rotator(rand_quat(rng), rand_quat(rng))
-        lhs = embed4((x * y).quat_conj())
-        rhs = embed4(y.quat_conj() * x.quat_conj())
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_block_trace():

@@ -174,23 +174,6 @@ def test_block_residual_matches_pair_residual():
         assert (block.lower - r1).max_abs() < 1e-13
 
 
-def test_transform_state_invariance_all_n():
-    rng = np.random.default_rng(7)
-    for n in (-1, 0, 1, 2):
-        for _ in range(40):
-            fd = rand_field(rng)
-            modes = plane_wave_modes(rng.uniform(-1.5, 1.5, 3), fd)
-            state = state_from_mode(modes[rng.integers(4)], fd)
-            if rng.integers(2) == 0:
-                v = rng.normal(size=3)
-                rotor = rotor_spatial(v / np.linalg.norm(v), rng.uniform(0, np.pi))
-            else:
-                v = rng.normal(size=3)
-                rotor = rotor_boost(v / np.linalg.norm(v), rng.uniform(-2, 2))
-            moved = transform_state(state, TransformSpec(rotor, n))
-            assert moved.residual().max_abs() < 1e-8
-
-
 def test_transform_half_angle_n0():
     rng = np.random.default_rng(8)
     fd = rand_field(rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -70,6 +71,8 @@ def test_suite_config_validation():
             SuiteConfig(suite="algebra", tol=tol)
     with pytest.raises(ValueError):
         SuiteConfig(suite="invariance", n_set=())
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SuiteConfig(suite="algebra", seed=-1)
     for grid_h in (0.0, -0.05, math.inf):
         with pytest.raises(ValueError):
             SuiteConfig(suite="conservation", grid_h=grid_h)
@@ -237,12 +240,39 @@ def test_order_tolerance_does_not_scale():
 
 
 def test_case_without_residuals_fails(monkeypatch, capsys):
-    # every momentum below the cut: massless_mode skips all of its draws
-    monkeypatch.setattr(hz, "rand_momentum", lambda rng: np.zeros(3))
+    def empty(rng, cfg):
+        yield from ()
+
+    cases = [
+        dataclasses.replace(c, fn=empty) if c.name == "massless_mode" else c
+        for c in hz.SUITES["equivalence"]
+    ]
+    monkeypatch.setitem(hz.SUITES, "equivalence", cases)
     report = run_suite(SuiteConfig(suite="equivalence", seed=0, trials=3))
     case = _case(report, "massless_mode")
     assert math.isnan(case.max_residual) and not case.passed
     assert "massless_mode yielded no residuals" in capsys.readouterr().err
+
+
+def test_massless_mode_redraws_slow_momenta():
+    # the first momentum these seeds draw has |p| < 0.1: it must be redrawn,
+    # not skipped, or the one-trial case yields no residual
+    for seed in (5330, 8731):
+        report = run_suite(SuiteConfig(suite="equivalence", seed=seed, trials=1))
+        case = _case(report, "massless_mode")
+        assert case.passed and case.max_residual <= 1e-12, (seed, case)
+
+
+def test_nonfinite_residual_fails_at_any_tolerance(monkeypatch):
+    # tol 1e300 scales 1e-12 to inf, and inf <= inf
+    def broken(v):
+        raise ValueError("injected lift failure")
+
+    monkeypatch.setattr(sm, "lift_G", broken)
+    report = run_suite(SuiteConfig(suite="maps", seed=0, trials=3, tol=1e300))
+    case = _case(report, "fg_identity")
+    assert (case.max_residual, case.tol, case.passed) == (math.inf, math.inf, False)
+    assert not report.passed
 
 
 @pytest.mark.parametrize("exc_type", [ValueError, RuntimeError])
@@ -298,6 +328,17 @@ def test_cli_empty_n_set_exit_code(suite):
     result = _run_cli("verify", suite, "--trials", "4", "--n", ",")
     assert result.returncode == 2
     assert "n_set must hold at least one exponent" in result.stderr
+
+
+def test_seeds_do_not_alias(capsys):
+    # every non-negative seed draws its own instances, also past 2**64
+    def residuals(seed):
+        report = run_suite(SuiteConfig(suite="algebra", seed=seed, trials=5))
+        return [c.max_residual for c in report.cases]
+
+    assert residuals(2**64) != residuals(0)
+    assert cli.main(["verify", "algebra", "--seed", "-1", "--trials", "3"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
 
 
 def test_cli_unknown_suite_exit_code():

@@ -40,13 +40,6 @@ def test_identity_element():
     assert (q * ONE - q).max_abs() == 0.0
 
 
-def test_associativity():
-    rng = np.random.default_rng(1)
-    for _ in range(300):
-        a, b, c = rand_quat(rng), rand_quat(rng), rand_quat(rng)
-        assert ((a * b) * c - a * (b * c)).max_abs() < 1e-12
-
-
 def test_conjugation_examples():
     assert (Quat(1, 1).quat_conj() - Quat(1, -1)).max_abs() == 0.0
     assert (I2.complex_conj() - I2).max_abs() == 0.0
@@ -67,16 +60,6 @@ def test_conjugation_formulas_and_composition():
     assert (q.complex_conj().quat_conj() - q.herm_conj()).max_abs() == 0.0
 
 
-def test_conjugation_anti_homomorphisms():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        a, b = rand_quat(rng), rand_quat(rng)
-        ab = a * b
-        assert (ab.quat_conj() - b.quat_conj() * a.quat_conj()).max_abs() < 1e-12
-        assert (ab.herm_conj() - b.herm_conj() * a.herm_conj()).max_abs() < 1e-12
-        assert (ab.complex_conj() - a.complex_conj() * b.complex_conj()).max_abs() < 1e-12
-
-
 def test_real_components_conjugations_coincide():
     rng = np.random.default_rng(4)
     q = Quat(*rng.uniform(-1, 1, 4))
@@ -86,16 +69,6 @@ def test_real_components_conjugations_coincide():
 def test_dot_examples():
     assert dot(Quat(1, 0, 1), Quat(2, 0, 3)) == 5
     assert dot(I1, I2) == 0
-
-
-def test_dot_two_routes_agree():
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        a, b = rand_quat(rng), rand_quat(rng)
-        sandwich = (a.quat_conj() * b + b.quat_conj() * a) * 0.5
-        assert abs(dot(a, b) - sandwich.temporal) < 1e-12
-        assert sandwich.spatial.max_abs() < 1e-12
-        assert abs(dot(a, a) - a.modulus()) < 1e-12
 
 
 def test_modulus_inverse_examples():
