@@ -3,7 +3,9 @@
 
 Measures the spatial- and temporal-plane angles produced by the eight
 left/right multiplication patterns, then continues a spatial rotation to
-a Lorentz boost by letting the rotor's spatial part go imaginary.
+a Lorentz boost by letting the rotor's spatial part go imaginary.  Every
+rotor, a rotation, a boost or a product of them, moves a four-vector as
+R q R.herm_conj().
 """
 
 import math
@@ -13,7 +15,6 @@ import numpy as np
 from qdirac import (
     Quat,
     ROTATION_PATTERNS,
-    TransformSpec,
     four_vector_transform,
     measure_plane_angles,
     pattern_rotate,
@@ -38,7 +39,7 @@ print("3-space); R q R rotates only the temporal plane.  Boosts are the")
 print("temporal rotations with imaginary angle:")
 
 w = 1.0
-boost = TransformSpec(rotor_boost([1.0, 0.0, 0.0], w))
+boost = rotor_boost([1.0, 0.0, 0.0], w)
 unit_time = minkowski_to_quat([1.0, 0, 0, 0])
 out = quat_to_minkowski(four_vector_transform(unit_time, boost))
 print("\nboost rapidity %.1f along x of the unit time vector:" % w)
@@ -59,3 +60,8 @@ one_two = four_vector_transform(
 )
 at_once = four_vector_transform(vec, rotor_boost([1.0, 0, 0], w1 + w2))
 print("rapidity additivity defect:", (one_two - at_once).max_abs())
+
+# a rotation about z then the boost along x is one rotor, neither kind
+stepwise = four_vector_transform(four_vector_transform(vec, rotor), boost)
+combined = four_vector_transform(vec, boost * rotor)
+print("rotation-then-boost rotor defect:", (stepwise - combined).max_abs())

@@ -4,7 +4,8 @@
 The usual half-angle spinor law is the exponent n = 0; every other
 integer n also leaves the block equation invariant.  At n = 1 the mass
 block transforms as a Euclidean four-vector, acquiring spatial
-components under a boost.  Parity, time reversal and charge conjugation
+components under a boost.  A ``TransformSpec`` pairs the rotor, a unit
+quaternion, with the exponent n.  Parity, time reversal and charge conjugation
 act through fixed block elements.
 """
 

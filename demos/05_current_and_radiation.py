@@ -67,5 +67,5 @@ for j_mode, a_mode in zip(source, potential):
         )
     )
 print("  residual:", radiation_residual(source, potential))
-spec = TransformSpec(rotor_boost([0.0, 1.0, 0.0], -1.1))
-print("  residual in a boosted frame:", radiation_residual(source, potential, spec=spec))
+boost = rotor_boost([0.0, 1.0, 0.0], -1.1)
+print("  residual in a boosted frame:", radiation_residual(source, potential, boost))

@@ -47,7 +47,6 @@ from .blocks import (
 from .transforms import (
     ROTATION_PATTERNS,
     DegenerateProjection,
-    Rotor,
     TransformSpec,
     discrete_elements,
     four_vector_transform,

@@ -127,7 +127,7 @@ def _current_factors(pairs: list[BispinorPair], spec: TransformSpec | None = Non
     k = _k_blocks()
     i_blocks = [_i_blocks(mu) for mu in range(4)]
     if spec is not None:
-        r, rc = rotor_blocks(spec)
+        r, rc = rotor_blocks(spec.rotor)
         r_n, rc_n = block_power(r, spec.n), block_power(rc, spec.n)
         k = r_n * k * rc_n
         i_blocks = [r * b * rc for b in i_blocks]
@@ -207,7 +207,7 @@ def current_covariance(pair: BispinorPair, spec: TransformSpec) -> CovarianceRep
     j = pair_current(pair)
     left, right = _current_factors([pair], spec)
     worst = float(np.max(np.abs(left[0] @ right[0] - j)))
-    r, rc = rotor_blocks(spec)
+    r, rc = rotor_blocks(spec.rotor)
     j_quat = Quat(*j)
     j_blocks = Reflector(j_quat, j_quat.quat_conj())
     j_after = (r * j_blocks * rc).upper
@@ -254,21 +254,19 @@ def solve_potential(source) -> tuple[RadiationMode, ...]:
     return tuple(out)
 
 
-def radiation_residual(source, potential, spec: TransformSpec | None = None) -> float:
+def radiation_residual(source, potential, rotor: Quat | None = None) -> float:
     """Largest block residual of D D A = J over the paired modes.
 
     ``source`` and ``potential`` are sequences of ``RadiationMode``, paired
-    by position; paired modes must share their four-momentum.  When
-    a spec is given, the derivative, potential and current reflectors are
-    all transformed by the same similarity before evaluating.
+    by position; paired modes must share their four-momentum.  When a
+    rotor is given, the derivative, potential and current reflectors are
+    all moved by its ``rotor_blocks`` similarity before evaluating.
     """
     if len(source) != len(potential):
         raise ValueError("source and potential fields must pair their modes")
     if not source:
         raise ValueError("the radiation check needs at least one mode")
-    transform = None
-    if spec is not None:
-        transform = rotor_blocks(spec)
+    transform = None if rotor is None else rotor_blocks(rotor)
     residuals = []
     for j_mode, a_mode in zip(source, potential):
         if j_mode.omega != a_mode.omega or np.any(

@@ -246,7 +246,7 @@ def transform_state(state: DiracState, spec: TransformSpec) -> DiracState:
     is conjugated n times and the spinor block picks up a single left
     factor and n right factors.  Negative n uses the inverse rotor blocks.
     """
-    r, rc = rotor_blocks(spec)
+    r, rc = rotor_blocks(spec.rotor)
     r_n = block_power(r, spec.n)
     rc_n = block_power(rc, spec.n)
     return DiracState(

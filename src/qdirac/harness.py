@@ -33,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -87,6 +88,9 @@ class SuiteConfig:
     grid_h: float = 0.05
 
     def __post_init__(self):
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError("seed must be an integer, got %r" % (self.seed,))
+        object.__setattr__(self, "seed", int(self.seed))
         if self.seed < 0:
             raise ValueError("seed must be non-negative, got %r" % (self.seed,))
         if self.trials < 1:
@@ -267,15 +271,19 @@ def minkowski_to_quat(v) -> Quat:
     return Quat(-1j * v[0], v[1], v[2], v[3])
 
 
-def _matrix_oracle(spec: tr.TransformSpec) -> np.ndarray:
-    rotor = spec.rotor
-    c = np.array(rotor.value.components)
-    if rotor.kind == "spatial":
+def _matrix_oracle(rotor: Quat) -> np.ndarray:
+    """Rotation matrix of a rotor whose spatial part is real, boost matrix of
+    one whose temporal part is real and spatial part imaginary; any other
+    rotor, such as a rotation times a boost, raises ValueError."""
+    c = np.array(rotor.components)
+    if not c[1:].imag.any():
         direction = c[1:].real
         norm = np.linalg.norm(direction)
         angle = 2.0 * math.atan2(norm, c[0].real)
         axis = direction / norm if norm > 0 else np.array([0.0, 0.0, 1.0])
         return rotation_matrix4(axis, angle)
+    if c[0].imag or c[1:].real.any():
+        raise ValueError("rotor is neither a rotation nor a boost: %r" % (rotor,))
     direction = c[1:].imag
     norm = np.linalg.norm(direction)
     rapidity = 2.0 * math.asinh(norm) * (1.0 if c[0].real >= 0 else -1.0)
@@ -330,19 +338,14 @@ def rand_momentum(rng) -> np.ndarray:
             return p
 
 
-def rand_spatial_rotor(rng) -> tr.Rotor:
-    return tr.rotor_spatial(rand_unit3(rng), rng.uniform(0.0, math.pi))
-
-
-def rand_boost_rotor(rng) -> tr.Rotor:
-    return tr.rotor_boost(rand_unit3(rng), rng.uniform(-2.0, 2.0))
-
-
-def rand_spec(rng, n: int = 0, kind: str | None = None) -> tr.TransformSpec:
+def rand_rotor(rng, kind: str | None = None) -> Quat:
+    """A rotation by [0, pi) or a boost of rapidity [-2, 2) about a random
+    axis; ``kind`` "spatial" or "boost" picks one, else a coin does."""
     if kind is None:
         kind = "spatial" if rng.integers(2) == 0 else "boost"
-    rotor = rand_spatial_rotor(rng) if kind == "spatial" else rand_boost_rotor(rng)
-    return tr.TransformSpec(rotor, n)
+    if kind == "spatial":
+        return tr.rotor_spatial(rand_unit3(rng), rng.uniform(0.0, math.pi))
+    return tr.rotor_boost(rand_unit3(rng), rng.uniform(-2.0, 2.0))
 
 
 def rand_field(rng, with_potential: bool = False) -> dr.FieldData:
@@ -368,9 +371,10 @@ def rand_complex_vec(rng, size: int) -> np.ndarray:
 
 
 def _n_draws(cfg) -> list[int]:
-    """The exponents of ``cfg.n_set``, each repeated for its share of trials."""
-    per_n = max(1, cfg.trials // len(cfg.n_set))
-    return [n for n in cfg.n_set for _ in range(per_n)]
+    """``cfg.trials`` exponents: those of ``cfg.n_set`` in order, in blocks
+    whose sizes differ by at most one, the first blocks the larger."""
+    per_n, extra = divmod(cfg.trials, len(cfg.n_set))
+    return [n for k, n in enumerate(cfg.n_set) for _ in range(per_n + (k < extra))]
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +591,7 @@ def _case_trace_embedding(rng, cfg):
 def _case_trace_temporal_similarity(rng, cfg):
     for _ in range(cfg.trials):
         x = _rand_block(rng, bl.Rotator)
-        r, _ = tr.rotor_blocks(rand_spec(rng))
+        r, _ = tr.rotor_blocks(rand_rotor(rng))
         y = bl.similarity(x, r)
         yield abs(y.trace().temporal - x.trace().temporal)
         # per-block temporal components are individually preserved
@@ -603,7 +607,7 @@ def _case_reflector_equation_invariance(rng, cfg):
         pp = bl.Reflector(p, p.quat_conj())
         ww = pp.inverse() * qq * pp
         yield (qq * pp - pp * ww).max_abs()
-        r, _ = tr.rotor_blocks(rand_spec(rng))
+        r, _ = tr.rotor_blocks(rand_rotor(rng))
         qq2, pp2, ww2 = (bl.similarity(x, r) for x in (qq, pp, ww))
         yield (qq2 * pp2 - pp2 * ww2).max_abs()
 
@@ -672,15 +676,14 @@ def _case_angle_extraction(rng, cfg):
 
 
 def _case_identity_pattern(rng, cfg):
-    ident = tr.Rotor(qt.ONE, "spatial")
     for pattern in tr.ROTATION_PATTERNS:
         q = rand_real_quat(rng)
-        yield (tr.pattern_rotate(pattern, ident, q) - q).max_abs()
+        yield (tr.pattern_rotate(pattern, qt.ONE, q) - q).max_abs()
 
 
 def _case_unmoved_angles(rng, cfg):
     for _ in range(cfg.trials):
-        rotor = rand_spatial_rotor(rng)
+        rotor = rand_rotor(rng, "spatial")
         q = _rand_nondegenerate_real_quat(rng, rotor)
         xi_s, xi_t = tr.measure_plane_angles(rotor, q, q)
         yield abs(xi_s)
@@ -695,26 +698,25 @@ def _case_boost_unit_time(rng, cfg):
     for _ in range(cfg.trials):
         axis = rand_unit3(rng)
         w = rng.uniform(-2.0, 2.0)
-        spec = tr.TransformSpec(tr.rotor_boost(axis, w))
-        out = quat_to_minkowski(tr.four_vector_transform(unit_time, spec))
+        moved = tr.four_vector_transform(unit_time, tr.rotor_boost(axis, w))
+        out = quat_to_minkowski(moved)
         yield _max_abs(out - np.concatenate([[math.cosh(w)], math.sinh(w) * axis]))
 
 
 def _case_four_vector_vs_matrix(rng, cfg):
     for _ in range(cfg.trials):
         for kind in ("spatial", "boost"):
-            spec = rand_spec(rng, kind=kind)
+            rotor = rand_rotor(rng, kind)
             q = rand_euclidean_quat(rng)
-            got = quat_to_minkowski(tr.four_vector_transform(q, spec))
-            yield _max_abs(got - _matrix_oracle(spec) @ quat_to_minkowski(q))
+            got = quat_to_minkowski(tr.four_vector_transform(q, rotor))
+            yield _max_abs(got - _matrix_oracle(rotor) @ quat_to_minkowski(q))
 
 
 def _case_interval_preservation(rng, cfg):
     for _ in range(cfg.trials):
         q = rand_euclidean_quat(rng)
         v = quat_to_minkowski(q)
-        spec = rand_spec(rng, kind="boost")
-        v2 = quat_to_minkowski(tr.four_vector_transform(q, spec))
+        v2 = quat_to_minkowski(tr.four_vector_transform(q, rand_rotor(rng, "boost")))
         yield abs((v[0] ** 2 - v[1:] @ v[1:]) - (v2[0] ** 2 - v2[1:] @ v2[1:]))
 
 
@@ -722,23 +724,27 @@ def _case_composition(rng, cfg):
     move = tr.four_vector_transform
     for _ in range(cfg.trials):
         q = rand_euclidean_quat(rng)
-        r1, r2 = rand_spatial_rotor(rng), rand_spatial_rotor(rng)
-        combined = tr.Rotor(r2.value * r1.value, "spatial")
-        yield (move(move(q, r1), r2) - move(q, combined)).max_abs()
+        r1, r2 = rand_rotor(rng, "spatial"), rand_rotor(rng, "spatial")
+        yield (move(move(q, r1), r2) - move(q, r2 * r1)).max_abs()
         axis = rand_unit3(rng)
         w1, w2 = rng.uniform(-2, 2, 2)
         b1, b2 = tr.rotor_boost(axis, w1), tr.rotor_boost(axis, w2)
         yield (move(move(q, b1), b2) - move(q, tr.rotor_boost(axis, w1 + w2))).max_abs()
         yield (move(move(q, b1), tr.rotor_boost(axis, -w1)) - q).max_abs()
+        # rotation then boost: one mixed rotor, neither a rotation nor a boost
+        mixed = move(q, b1 * r1)
+        yield (move(move(q, r1), b1) - mixed).max_abs()
+        oracle = _matrix_oracle(b1) @ _matrix_oracle(r1) @ quat_to_minkowski(q)
+        yield _max_abs(quat_to_minkowski(mixed) - oracle)
 
 
 def _case_blocks_vs_vector_path(rng, cfg):
     for _ in range(cfg.trials):
-        spec = rand_spec(rng)
+        rotor = rand_rotor(rng)
         q = rand_euclidean_quat(rng)
-        r, rc = tr.rotor_blocks(spec)
+        r, rc = tr.rotor_blocks(rotor)
         moved = r * bl.Reflector(q, q.quat_conj()) * rc
-        direct = tr.four_vector_transform(q, spec)
+        direct = tr.four_vector_transform(q, rotor)
         yield (moved.upper - direct).max_abs()
         yield (moved.lower - direct.quat_conj()).max_abs()
 
@@ -746,18 +752,19 @@ def _case_blocks_vs_vector_path(rng, cfg):
 def _case_n_invariance(rng, cfg):
     for n in _n_draws(cfg):
         state = _rand_state(rng)
-        yield dr.transform_state(state, rand_spec(rng, n=n)).residual().max_abs()
+        moved = dr.transform_state(state, tr.TransformSpec(rand_rotor(rng), n))
+        yield moved.residual().max_abs()
 
 
 def _case_mass_four_vector(rng, cfg):
     for _ in range(cfg.trials):
         fd = rand_field(rng)
         state = dr.state_from_mode(dr.plane_wave_modes(np.zeros(3), fd)[3], fd)
-        spec = rand_spec(rng, n=1, kind="boost")
+        spec = tr.TransformSpec(rand_rotor(rng, "boost"), 1)
         mass_after = dr.transform_state(state, spec).m.upper
-        direct = tr.four_vector_transform(Quat(fd.euclidean_mass), spec)
+        direct = tr.four_vector_transform(Quat(fd.euclidean_mass), spec.rotor)
         yield (mass_after - direct).max_abs()
-        oracle = _matrix_oracle(spec) @ np.array([fd.mass, 0.0, 0.0, 0.0])
+        oracle = _matrix_oracle(spec.rotor) @ np.array([fd.mass, 0.0, 0.0, 0.0])
         yield _max_abs(quat_to_minkowski(mass_after) - oracle)
     # a unit-rapidity boost must push the mass off the temporal axis
     fd = dr.FieldData(1.0)
@@ -770,7 +777,7 @@ def _case_mass_four_vector(rng, cfg):
 def _case_mass_fixed_n0(rng, cfg):
     for _ in range(cfg.trials):
         state = _rand_state(rng, with_potential=False)
-        moved = dr.transform_state(state, rand_spec(rng, n=0))
+        moved = dr.transform_state(state, tr.TransformSpec(rand_rotor(rng), 0))
         yield (moved.m - state.m).max_abs()
 
 
@@ -968,12 +975,13 @@ def _case_current_covariance(rng, cfg):
     for _ in range(cfg.trials):
         pair = dr.spinor_to_pair(rand_complex_vec(rng, 4))
         n = cfg.n_set[int(rng.integers(len(cfg.n_set)))]
-        spec = rand_spec(rng, n=n)
+        spec = tr.TransformSpec(rand_rotor(rng), n)
         report = cur.current_covariance(pair, spec)
         yield report.scalar_residual
         got = quat_to_minkowski(report.j_after)
-        yield _max_abs(got - _matrix_oracle(spec) @ quat_to_minkowski(report.j_before))
-        direct = tr.four_vector_transform(report.j_before, spec)
+        oracle = _matrix_oracle(spec.rotor) @ quat_to_minkowski(report.j_before)
+        yield _max_abs(got - oracle)
+        direct = tr.four_vector_transform(report.j_before, spec.rotor)
         yield (report.j_after - direct).max_abs()
 
 
@@ -1000,7 +1008,7 @@ def _case_two_mode_divergence(rng, cfg):
 def _case_transformed_divergence(rng, cfg):
     for n in _n_draws(cfg):
         fd = rand_field(rng)
-        spec = rand_spec(rng, n=n)
+        spec = tr.TransformSpec(rand_rotor(rng), n)
         yield cur.current_divergence(_two_mode_solution(rng, fd), fd, spec=spec)
 
 
@@ -1130,7 +1138,7 @@ def _case_radiation_transformed(rng, cfg):
     for _ in range(cfg.trials):
         source = _rand_radiation_field(rng)
         potential = cur.solve_potential(source)
-        yield cur.radiation_residual(source, potential, spec=rand_spec(rng))
+        yield cur.radiation_residual(source, potential, rand_rotor(rng))
 
 
 def _case_dalembertian_fd(rng, cfg):

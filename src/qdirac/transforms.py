@@ -1,12 +1,14 @@
-"""Rotation and boost rotors, multiplication-pattern geometry, and the
-discrete symmetry elements.
+"""Rotors, multiplication-pattern geometry, and the discrete symmetry
+elements.
 
-Spatial rotors have real components and unit modulus; boost rotors have a
-real temporal component, imaginary spatial components and unit complex
-modulus.  Euclidean four-vectors (imaginary temporal, real spatial
-coordinates) transform by the sandwich q' = R q R.quat_conj() for spatial
-rotations and q' = R q R for boosts; both patterns extend to reflector
-blocks through a similarity by ``rotor_blocks``.
+A rotor is a unit quaternion R, one with R.quat_conj() * R = 1.  A spatial
+rotation has real components; a boost has a real temporal component and
+imaginary spatial components; a product of rotations and boosts is a
+rotor too.  Every rotor moves a Euclidean four-vector (imaginary temporal,
+real spatial coordinates) by one law, q' = R q R.herm_conj(), and moves
+reflector blocks by similarity with Rotator(R, R.complex_conj()), which
+``rotor_blocks`` returns.  For a rotation R.herm_conj() is R.quat_conj(),
+and for a boost it is R itself.
 
 Conventions fixed here and locked by tests:
 
@@ -31,7 +33,6 @@ from .quaternion import Quat, I2
 
 __all__ = [
     "DegenerateProjection",
-    "Rotor",
     "TransformSpec",
     "rotor_spatial",
     "rotor_boost",
@@ -51,19 +52,11 @@ class DegenerateProjection(ValueError):
 
 
 @dataclass(frozen=True)
-class Rotor:
-    value: Quat
-    kind: str  # "spatial" or "boost"
-
-    def __post_init__(self):
-        if self.kind not in ("spatial", "boost"):
-            raise ValueError("rotor kind must be 'spatial' or 'boost'")
-
-
-@dataclass(frozen=True)
 class TransformSpec:
-    rotor: Rotor
-    n: int = 0
+    """A rotor and the exponent n of the spinor law (``dirac.transform_state``)."""
+
+    rotor: Quat
+    n: int
 
 
 def _unit_axis(axis) -> np.ndarray:
@@ -75,23 +68,23 @@ def _unit_axis(axis) -> np.ndarray:
     return a
 
 
-def rotor_spatial(axis, angle: float) -> Rotor:
+def rotor_spatial(axis, angle: float) -> Quat:
     """Unit real-component rotor for a rotation by ``angle`` about ``axis``."""
     a = _unit_axis(axis)
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return Rotor(Quat(c, s * a[0], s * a[1], s * a[2]), "spatial")
+    return Quat(c, s * a[0], s * a[1], s * a[2])
 
 
-def rotor_boost(axis, rapidity: float) -> Rotor:
+def rotor_boost(axis, rapidity: float) -> Quat:
     """Unit-modulus boost rotor of the given rapidity along ``axis``."""
     a = _unit_axis(axis)
     c, s = math.cosh(rapidity / 2.0), math.sinh(rapidity / 2.0)
-    return Rotor(Quat(c, 1j * s * a[0], 1j * s * a[1], 1j * s * a[2]), "boost")
+    return Quat(c, 1j * s * a[0], 1j * s * a[1], 1j * s * a[2])
 
 
-def rotor_angle(r: Rotor) -> float:
+def rotor_angle(r: Quat) -> float:
     """Rotation angle recovered from tan(angle/2) = |spatial| / temporal."""
-    c = r.value.components
+    c = r.components
     v = math.sqrt(sum(abs(z) ** 2 for z in c[1:]))
     return 2.0 * math.atan2(v, c[0].real)
 
@@ -99,7 +92,7 @@ def rotor_angle(r: Rotor) -> float:
 ROTATION_PATTERNS = ("RQ", "QR", "RcQ", "QRc", "RQR", "RQRc", "RcQR", "RcQRc")
 
 
-def pattern_rotate(pattern: str, r: Rotor, q: Quat) -> Quat:
+def pattern_rotate(pattern: str, r: Quat, q: Quat) -> Quat:
     """Apply one of the eight left/right multiplication patterns.
 
     'c' marks the quaternion conjugate, so "RQRc" computes R*q*R.quat_conj().
@@ -109,11 +102,10 @@ def pattern_rotate(pattern: str, r: Rotor, q: Quat) -> Quat:
             "unknown pattern %r, expected one of %s" % (pattern, ROTATION_PATTERNS)
         )
     left, right = pattern.split("Q")
-    v = r.value
     if left:
-        q = (v if left == "R" else v.quat_conj()) * q
+        q = (r if left == "R" else r.quat_conj()) * q
     if right:
-        q = q * (v if right == "R" else v.quat_conj())
+        q = q * (r if right == "R" else r.quat_conj())
     return q
 
 
@@ -137,8 +129,8 @@ def _cross(a, b) -> tuple[float, float, float]:
     )
 
 
-def _rotor_direction(r: Rotor) -> tuple[float, float, float]:
-    v = _real_vec4(r.value)[1:]
+def _rotor_direction(r: Quat) -> tuple[float, float, float]:
+    v = _real_vec4(r)[1:]
     norm = math.sqrt(_dot3(v, v))
     if norm < 1e-12:
         raise DegenerateProjection("rotor has no spatial direction")
@@ -165,7 +157,7 @@ def _wrap(a: float) -> float:
     return math.atan2(math.sin(a), math.cos(a))
 
 
-def plane_angle(r: Rotor, q: Quat, q_after: Quat, plane: str, tol: float = 1e-9) -> float:
+def plane_angle(r: Quat, q: Quat, q_after: Quat, plane: str, tol: float = 1e-9) -> float:
     """Signed rotation angle of q's projection into q_after within one plane.
 
     ``plane`` is "temporal" (span of the time axis and the rotor direction)
@@ -189,7 +181,7 @@ def plane_angle(r: Rotor, q: Quat, q_after: Quat, plane: str, tol: float = 1e-9)
 
 
 def measure_plane_angles(
-    r: Rotor, q: Quat, q_after: Quat
+    r: Quat, q: Quat, q_after: Quat
 ) -> tuple[float | None, float | None]:
     """Per-plane rotation angles (spatial, temporal); None where degenerate."""
     angles = []
@@ -201,29 +193,21 @@ def measure_plane_angles(
     return angles[0], angles[1]
 
 
-def four_vector_transform(q: Quat, spec: TransformSpec | Rotor) -> Quat:
-    """Transform a Euclidean four-vector quaternion by a rotation or boost."""
-    rotor = spec.rotor if isinstance(spec, TransformSpec) else spec
-    v = rotor.value
-    if rotor.kind == "spatial":
-        return v * q * v.quat_conj()
-    return v * q * v
+def four_vector_transform(q: Quat, r: Quat) -> Quat:
+    """Move a Euclidean four-vector quaternion by the rotor r: r q r.herm_conj()."""
+    return r * q * r.herm_conj()
 
 
-def rotor_blocks(spec: TransformSpec | Rotor) -> tuple[Rotator, Rotator]:
-    """Rotator carrying the transform onto blocks, and its quaternion conjugate.
+def rotor_blocks(r: Quat) -> tuple[Rotator, Rotator]:
+    """Rotator (r, r.complex_conj()) carrying the rotor onto blocks, and its
+    quaternion conjugate.
 
-    Spatial rotations use equal blocks (R, R); boosts use (R, R.quat_conj()).
-    Similarity of Reflector(Q, Q.quat_conj()) by the returned rotator
-    reproduces ``four_vector_transform`` on both blocks.
+    Similarity of Reflector(Q, Q.quat_conj()) by the returned rotator moves
+    the upper block as ``four_vector_transform`` does, and the lower block
+    as its quaternion conjugate.
     """
-    rotor = spec.rotor if isinstance(spec, TransformSpec) else spec
-    v = rotor.value
-    if rotor.kind == "spatial":
-        r = Rotator(v, v)
-    else:
-        r = Rotator(v, v.quat_conj())
-    return r, r.quat_conj()
+    b = Rotator(r, r.complex_conj())
+    return b, b.quat_conj()
 
 
 def discrete_elements(kind: str):

@@ -10,7 +10,7 @@ from qdirac.blocks import (
 )
 from qdirac.harness import embed4
 from qdirac.quaternion import I1, ONE, Quat, SingularQuaternion, to_matrix
-from qdirac.transforms import rotor_blocks, rotor_boost, rotor_spatial, TransformSpec
+from qdirac.transforms import rotor_blocks, rotor_boost, rotor_spatial
 
 
 def rand_quat(rng):
@@ -83,11 +83,8 @@ def test_similarity_identity_and_trace_invariance():
     rng = np.random.default_rng(8)
     x = Rotator(rand_quat(rng), rand_quat(rng))
     assert (similarity(x, identity_rotator()) - x).max_abs() == 0.0
-    for spec in (
-        TransformSpec(rotor_spatial([0, 0, 1.0], 0.9)),
-        TransformSpec(rotor_boost([0, 1.0, 0], 1.1)),
-    ):
-        r, _ = rotor_blocks(spec)
+    for rotor in (rotor_spatial([0, 0, 1.0], 0.9), rotor_boost([0, 1.0, 0], 1.1)):
+        r, _ = rotor_blocks(rotor)
         y = similarity(x, r)
         assert abs(y.trace().temporal - x.trace().temporal) < 1e-12
         assert abs(y.upper.temporal - x.upper.temporal) < 1e-12
@@ -102,7 +99,7 @@ def test_reflector_equation_invariance():
         pp = Reflector(p, p.quat_conj())
         ww = pp.inverse() * qq * pp
         assert (qq * pp - pp * ww).max_abs() < 1e-11
-        r, _ = rotor_blocks(TransformSpec(rotor_boost([1.0, 0, 0], 0.7)))
+        r, _ = rotor_blocks(rotor_boost([1.0, 0, 0], 0.7))
         qq2, pp2, ww2 = (similarity(x, r) for x in (qq, pp, ww))
         assert (qq2 * pp2 - pp2 * ww2).max_abs() < 1e-10
 
@@ -133,8 +130,7 @@ def test_mixed_shape_sums_rejected():
 
 def test_block_power():
     rng = np.random.default_rng(11)
-    spec = TransformSpec(rotor_boost([0, 0, 1.0], 0.8))
-    r, _ = rotor_blocks(spec)
+    r, _ = rotor_blocks(rotor_boost([0, 0, 1.0], 0.8))
     ident = embed4(identity_rotator())
     two = block_power(r, 2)
     assert np.max(np.abs(embed4(two) - embed4(r) @ embed4(r))) < 1e-12

@@ -73,9 +73,28 @@ def test_suite_config_validation():
         SuiteConfig(suite="invariance", n_set=())
     with pytest.raises(ValueError, match="seed must be non-negative"):
         SuiteConfig(suite="algebra", seed=-1)
+    # a fractional seed would draw the instances of its integer part
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SuiteConfig(suite="algebra", seed=1.5)
+    assert type(SuiteConfig(suite="algebra", seed=np.int64(3)).seed) is int
     for grid_h in (0.0, -0.05, math.inf):
         with pytest.raises(ValueError):
             SuiteConfig(suite="conservation", grid_h=grid_h)
+
+
+def test_exponent_cases_draw_exactly_trials_instances():
+    exponent_cases = (("invariance", "n_invariance"), ("conservation", "transformed_divergence"))
+    for trials, blocks in ((1, (1, 0, 0, 0)), (3, (1, 1, 1, 0)), (10, (3, 3, 2, 2))):
+        cfg = SuiteConfig(suite="all", trials=trials)
+        expected = [n for n, size in zip(cfg.n_set, blocks) for _ in range(size)]
+        assert hz._n_draws(cfg) == expected
+        for suite, name in exponent_cases:
+            case = next(c for c in hz.SUITES[suite] if c.name == name)
+            assert len(list(case.fn(hz.case_rng(0, suite, name), cfg))) == trials
+    # at multiples of the exponent count the draws are the equal blocks
+    for trials in (4, 100, 800):
+        cfg = SuiteConfig(suite="all", trials=trials)
+        assert hz._n_draws(cfg) == [n for n in cfg.n_set for _ in range(trials // 4)]
 
 
 def test_list_suites():

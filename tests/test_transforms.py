@@ -14,8 +14,6 @@ from qdirac.quaternion import I1, I2, I3, ONE, Quat
 from qdirac.transforms import (
     ROTATION_PATTERNS,
     DegenerateProjection,
-    Rotor,
-    TransformSpec,
     discrete_elements,
     four_vector_transform,
     measure_plane_angles,
@@ -39,8 +37,8 @@ def euclid_quat(rng):
 
 
 def test_rotor_spatial_examples():
-    assert (rotor_spatial([0, 0, 1.0], 0.0).value - ONE).max_abs() == 0.0
-    assert (rotor_spatial([0, 0, 1.0], math.pi).value - I3).max_abs() < 1e-15
+    assert (rotor_spatial([0, 0, 1.0], 0.0) - ONE).max_abs() == 0.0
+    assert (rotor_spatial([0, 0, 1.0], math.pi) - I3).max_abs() < 1e-15
     with pytest.raises(ValueError):
         rotor_spatial([0, 0, 2.0], 0.3)
 
@@ -54,19 +52,19 @@ def test_rotor_angle_roundtrip():
 
 def test_rotor_boost_structure():
     rng = np.random.default_rng(1)
-    assert (rotor_boost([1.0, 0, 0], 0.0).value - ONE).max_abs() == 0.0
+    assert (rotor_boost([1.0, 0, 0], 0.0) - ONE).max_abs() == 0.0
     for _ in range(100):
         r = rotor_boost(rand_unit3(rng), rng.uniform(-2, 2))
-        assert abs(r.value.modulus() - 1.0) < 1e-12
-        c = r.value.components
+        assert abs(r.modulus() - 1.0) < 1e-12
+        c = r.components
         assert abs(c[0].imag) == 0.0
         assert all(abs(z.real) < 1e-15 for z in c[1:])
 
 
 def test_boost_unit_time_vector():
     w = 0.85
-    spec = TransformSpec(rotor_boost([1.0, 0, 0], w))
-    out = quat_to_minkowski(four_vector_transform(minkowski_to_quat([1, 0, 0, 0]), spec))
+    boost = rotor_boost([1.0, 0, 0], w)
+    out = quat_to_minkowski(four_vector_transform(minkowski_to_quat([1, 0, 0, 0]), boost))
     assert np.max(np.abs(out - [math.cosh(w), math.sinh(w), 0, 0])) < 1e-12
 
 
@@ -79,10 +77,9 @@ def test_pattern_examples():
     out = pattern_rotate("RQR", r, ONE)
     expected = ONE * math.cos(xi) + I3 * math.sin(xi)
     assert (out - expected).max_abs() < 1e-14
-    ident = Rotor(ONE, "spatial")
     for pattern in ROTATION_PATTERNS:
         q = Quat(0.3, -0.2, 0.9, 0.1)
-        assert (pattern_rotate(pattern, ident, q) - q).max_abs() == 0.0
+        assert (pattern_rotate(pattern, ONE, q) - q).max_abs() == 0.0
     with pytest.raises(ValueError):
         pattern_rotate("QQ", r, I1)
 
@@ -108,7 +105,7 @@ def test_plane_angle_degenerate():
     with pytest.raises(DegenerateProjection):
         plane_angle(r, I1, I1, "temporal")
     with pytest.raises(DegenerateProjection):
-        plane_angle(Rotor(ONE, "spatial"), I1, I1, "spatial")
+        plane_angle(ONE, I1, I1, "spatial")
 
 
 def test_four_vector_transform_matches_matrices():
@@ -117,13 +114,11 @@ def test_four_vector_transform_matches_matrices():
         q = euclid_quat(rng)
         axis = rand_unit3(rng)
         angle = rng.uniform(0, math.pi)
-        spec = TransformSpec(rotor_spatial(axis, angle))
-        got = quat_to_minkowski(four_vector_transform(q, spec))
+        got = quat_to_minkowski(four_vector_transform(q, rotor_spatial(axis, angle)))
         want = rotation_matrix4(axis, angle) @ quat_to_minkowski(q)
         assert np.max(np.abs(got - want)) < 1e-12
         w = rng.uniform(-2, 2)
-        spec = TransformSpec(rotor_boost(axis, w))
-        got = quat_to_minkowski(four_vector_transform(q, spec))
+        got = quat_to_minkowski(four_vector_transform(q, rotor_boost(axis, w)))
         want = boost_matrix4(axis, w) @ quat_to_minkowski(q)
         assert np.max(np.abs(got - want)) < 1e-11
 
@@ -148,8 +143,7 @@ def test_composition_laws():
         r1 = rotor_spatial(rand_unit3(rng), rng.uniform(0, math.pi))
         r2 = rotor_spatial(rand_unit3(rng), rng.uniform(0, math.pi))
         step = four_vector_transform(four_vector_transform(q, r1), r2)
-        combined = Rotor(r2.value * r1.value, "spatial")
-        assert (step - four_vector_transform(q, combined)).max_abs() < 1e-12
+        assert (step - four_vector_transform(q, r2 * r1)).max_abs() < 1e-12
         axis = rand_unit3(rng)
         w1, w2 = rng.uniform(-2, 2, 2)
         step = four_vector_transform(
@@ -161,18 +155,18 @@ def test_composition_laws():
 
 def test_rotor_blocks_shapes_and_equivalence():
     rng = np.random.default_rng(6)
-    spatial = TransformSpec(rotor_spatial([0, 1.0, 0], 1.2))
+    spatial = rotor_spatial([0, 1.0, 0], 1.2)
     r, rc = rotor_blocks(spatial)
-    assert (r.upper - spatial.rotor.value).max_abs() == 0.0
-    assert (r.lower - spatial.rotor.value).max_abs() == 0.0
-    boost = TransformSpec(rotor_boost([0, 1.0, 0], 0.7))
+    assert (r.upper - spatial).max_abs() == 0.0
+    assert (r.lower - spatial).max_abs() == 0.0
+    boost = rotor_boost([0, 1.0, 0], 0.7)
     rb, _ = rotor_blocks(boost)
-    assert (rb.lower - boost.rotor.value.quat_conj()).max_abs() == 0.0
-    for spec in (spatial, boost):
-        r, rc = rotor_blocks(spec)
+    assert (rb.lower - boost.quat_conj()).max_abs() == 0.0
+    for rotor in (spatial, boost):
+        r, rc = rotor_blocks(rotor)
         q = euclid_quat(rng)
         moved = r * Reflector(q, q.quat_conj()) * rc
-        direct = four_vector_transform(q, spec)
+        direct = four_vector_transform(q, rotor)
         assert (moved.upper - direct).max_abs() < 1e-13
         assert (moved.lower - direct.quat_conj()).max_abs() < 1e-13
 
@@ -190,9 +184,19 @@ def test_discrete_elements():
         discrete_elements("chirality")
 
 
-def test_rotor_kind_validation():
-    with pytest.raises(ValueError):
-        Rotor(ONE, "twist")
+def test_rotation_then_boost_is_one_rotor():
+    # a z-rotation followed by an x-boost is neither a rotation nor a boost
+    angle, w = 0.7, 0.9
+    rotor = rotor_boost([1.0, 0, 0], w) * rotor_spatial([0, 0, 1.0], angle)
+    want = boost_matrix4([1.0, 0, 0], w) @ rotation_matrix4([0, 0, 1.0], angle)
+    r, rc = rotor_blocks(rotor)
+    for k in range(4):
+        q = minkowski_to_quat(np.eye(4)[k])
+        moved = four_vector_transform(q, rotor)
+        assert np.max(np.abs(quat_to_minkowski(moved) - want[:, k])) < 1e-14
+        blocks = r * Reflector(q, q.quat_conj()) * rc
+        assert (blocks.upper - moved).max_abs() < 1e-14
+        assert (blocks.lower - moved.quat_conj()).max_abs() < 1e-14
 
 
 def _numpy_plane_angle(r, q, q_after, plane, tol=1e-9):
@@ -205,7 +209,7 @@ def _numpy_plane_angle(r, q, q_after, plane, tol=1e-9):
             raise ValueError("expected a quaternion with real components")
         return c.real
 
-    v = real_vec4(r.value)[1:]
+    v = real_vec4(r)[1:]
     norm = np.linalg.norm(v)
     if norm < 1e-12:
         raise DegenerateProjection("rotor has no spatial direction")
@@ -292,4 +296,4 @@ def test_plane_angle_raises_where_numpy_reference_raises():
     for fn in (_numpy_plane_angle, plane_angle):
         assert _outcome(fn, boost, q, q, "spatial") is ValueError
         assert _outcome(fn, r, q, q, "diagonal") is ValueError
-        assert _outcome(fn, Rotor(ONE, "spatial"), q, q, "diagonal") is DegenerateProjection
+        assert _outcome(fn, ONE, q, q, "diagonal") is DegenerateProjection
