@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """How quaternion multiplication rotates four-space.
 
-Measures the spatial- and temporal-plane angles produced by the eight
+Reads the spatial- and temporal-plane angles produced by the eight
 left/right multiplication patterns, then continues a spatial rotation to
 a Lorentz boost by letting the rotor's spatial part go imaginary.  Every
 rotor, a rotation, a boost or a product of them, moves a four-vector as
@@ -13,10 +13,10 @@ import math
 import numpy as np
 
 from qdirac import (
-    Quat,
+    I1,
+    ONE,
     ROTATION_PATTERNS,
     four_vector_transform,
-    measure_plane_angles,
     pattern_rotate,
     rotor_boost,
     rotor_spatial,
@@ -25,12 +25,15 @@ from qdirac.harness import minkowski_to_quat, quat_to_minkowski
 
 xi = 0.8
 rotor = rotor_spatial([0.0, 0.0, 1.0], xi)
-q = Quat(0.9, 0.7, -0.2, 0.4)  # projects into both planes
 
+# the spatial plane of a z rotor is (i1, i2) and its temporal plane (1, i3),
+# so the angles are those through which i1 and 1 turn within them
 print("rotor about z, angle %.2f; measured plane angles (xi_s, xi_t):" % xi)
 for pattern in ROTATION_PATTERNS:
-    moved = pattern_rotate(pattern, rotor, q)
-    xs, xt = measure_plane_angles(rotor, q, moved)
+    s = pattern_rotate(pattern, rotor, I1).components
+    t = pattern_rotate(pattern, rotor, ONE).components
+    xs = math.atan2(s[2].real, s[1].real)
+    xt = math.atan2(t[3].real, t[0].real)
     print("  %-6s -> (%+.4f, %+.4f)   in units of xi: (%+.2f, %+.2f)"
           % (pattern, xs, xt, xs / xi, xt / xi))
 

@@ -5,7 +5,7 @@ The library is organised bottom-up:
 * ``quaternion``   the algebra, conjugations and 2x2 matrix view,
 * ``spinor_maps``  column/quaternion maps, lifts and the ideal projector,
 * ``blocks``       reflector and rotator block matrices,
-* ``transforms``   rotors, plane geometry and discrete symmetry elements,
+* ``transforms``   rotors, their laws and the multiplication patterns,
 * ``dirac``        plane-wave modes and the quaternion equation pipeline,
 * ``current``      the conserved current, its covariance and radiation,
 * ``harness``      seeded verification suites and the grid oracle.
@@ -46,14 +46,9 @@ from .blocks import (
 )
 from .transforms import (
     ROTATION_PATTERNS,
-    DegenerateProjection,
     TransformSpec,
-    discrete_elements,
     four_vector_transform,
-    measure_plane_angles,
     pattern_rotate,
-    plane_angle,
-    rotor_angle,
     rotor_blocks,
     rotor_boost,
     rotor_spatial,

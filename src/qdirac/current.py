@@ -32,6 +32,7 @@ import numpy as np
 
 from .blocks import Reflector, block_power
 from .dirac import BispinorPair, FieldData, PlaneWaveMode, momentum_symbol, pair_residual
+from .dirac import _check_finite
 from .quaternion import BASIS, Quat
 from .spinor_maps import SIGMA
 from .transforms import TransformSpec, rotor_blocks
@@ -228,6 +229,7 @@ class RadiationMode:
         )
         if self.wavevector.shape != (3,):
             raise ValueError("wavevector must be a 3-vector")
+        _check_finite(omega=self.omega, wavevector=self.wavevector)
 
     def symbol(self) -> Quat:
         k = self.wavevector

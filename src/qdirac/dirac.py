@@ -26,6 +26,7 @@ elements.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from .blocks import Reflector, Rotator, block_power
 from .quaternion import Quat
 from .spinor_maps import SIGMA, ideal_factor, lift_G, lift_L, map_F, map_N
-from .transforms import TransformSpec, discrete_elements, rotor_blocks
+from .transforms import TransformSpec, rotor_blocks
 
 __all__ = [
     "IdealViolation",
@@ -65,6 +66,16 @@ ALPHA = tuple(np.block([[_Z2, s], [s, _Z2]]) for s in SIGMA)
 BETA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
 
+def _check_finite(**fields) -> None:
+    """ValueError naming the first field, a scalar or a 1-d array, with an
+    inf or NaN entry."""
+    # a loop over a few Python scalars is cheaper than a ufunc and a reduction
+    for name, value in fields.items():
+        entries = value.tolist() if isinstance(value, np.ndarray) else (value,)
+        if not all(map(cmath.isfinite, entries)):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class FieldData:
     """Rest mass and constant potential, stored in Minkowski components."""
@@ -76,6 +87,7 @@ class FieldData:
         object.__setattr__(self, "potential", np.asarray(self.potential, dtype=float))
         if self.potential.shape != (4,):
             raise ValueError("potential must be a real 4-vector")
+        _check_finite(mass=self.mass, potential=self.potential)
 
     @property
     def euclidean_mass(self) -> complex:
@@ -101,6 +113,9 @@ class PlaneWaveMode:
         object.__setattr__(self, "amplitude", np.asarray(self.amplitude, dtype=complex))
         if self.momentum.shape != (3,) or self.amplitude.shape != (4,):
             raise ValueError("momentum must be a 3-vector and amplitude a 4-column")
+        _check_finite(
+            energy=self.energy, momentum=self.momentum, amplitude=self.amplitude
+        )
 
 
 @dataclass(frozen=True)
@@ -115,6 +130,7 @@ class BispinorPair:
 def dirac_hamiltonian(p, fd: FieldData) -> np.ndarray:
     """Momentum-space operator sum_r alpha_r (p_r - A_r) + A0 + m*beta."""
     p = np.asarray(p, dtype=float)
+    _check_finite(momentum=p.ravel())
     a = fd.potential
     h = a[0] * np.eye(4, dtype=complex) + fd.mass * BETA
     for r in range(3):
@@ -257,17 +273,26 @@ def transform_state(state: DiracState, spec: TransformSpec) -> DiracState:
     )
 
 
+# the (B, E) pairs of parity and time reversal: a state moves as B X Bc for
+# the derivative and potential blocks, B Phi Ec for the spinor block and
+# E M Ec for the mass block, where c is the quaternion conjugate
+_DISCRETE_PAIRS = {
+    "parity": (Reflector(1.0, 1.0), Rotator(1.0, 1.0)),
+    "time_reversal": (Rotator(-1.0, 1.0), Reflector(1.0, 1.0)),
+}
+
+
 def apply_discrete(state: DiracState, kind: str) -> DiracState:
     """Apply a discrete symmetry to the block state.
 
-    Parity and time reversal conjugate with the ``discrete_elements`` pair
-    and are involutions.  Charge conjugation conjugates every component,
+    Parity and time reversal conjugate with their (B, E) pair and are
+    involutions.  Charge conjugation conjugates every component,
     absorbs an overall sign into the derivative and mass blocks and swaps
     the spinor blocks, which negates the potential block exactly: the image
     of a solution with potential A solves the equation with potential -A.
     """
-    if kind in ("parity", "time_reversal"):
-        b, e = discrete_elements(kind)
+    if kind in _DISCRETE_PAIRS:
+        b, e = _DISCRETE_PAIRS[kind]
         bc, ec = b.quat_conj(), e.quat_conj()
         return DiracState(
             d=b * state.d * bc,

@@ -76,7 +76,7 @@ def test_criterion_02_maps():
 def test_criterion_03_rotation_table():
     names = ["pattern_%s" % p.lower() for p in hz.tr.ROTATION_PATTERNS]
     worst = _run_cases("table1", names, trials=200)
-    _report(3, "rotation table rows", worst, 1e-9)
+    _report(3, "rotation table rows", worst, 1e-12)
 
 
 def test_criterion_04_boost_correctness():

@@ -165,3 +165,13 @@ def test_radiation_pairing_validation():
         radiation_residual(a, ())
     with pytest.raises(ValueError, match="at least one mode"):
         radiation_residual((), ())
+
+
+def test_radiation_rejects_nonfinite_modes_and_non_unit_rotors():
+    with pytest.raises(ValueError, match="omega"):
+        RadiationMode(ONE, float("nan"), [1.0, 0, 0])
+    with pytest.raises(ValueError, match="wavevector"):
+        RadiationMode(ONE, 2.0, [1.0, float("inf"), 0])
+    a = (RadiationMode(ONE, 2.0, [1.0, 0, 0]),)
+    with pytest.raises(ValueError, match="unit modulus"):
+        radiation_residual(a, a, Quat(2.0))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from qdirac.blocks import Rotator
+from qdirac.blocks import Reflector, Rotator
 from qdirac.dirac import (
     BETA,
     BispinorPair,
+    DiracState,
     FieldData,
     IdealViolation,
     PlaneWaveMode,
@@ -19,7 +20,7 @@ from qdirac.dirac import (
     state_from_mode,
     transform_state,
 )
-from qdirac.quaternion import I3, ONE, Quat
+from qdirac.quaternion import I1, I2, I3, ONE, Quat
 from qdirac.spinor_maps import ideal_factor, lift_G, lift_L, map_F, map_N
 from qdirac.transforms import TransformSpec, rotor_boost, rotor_spatial
 
@@ -234,6 +235,21 @@ def test_parity_swaps_derivative_blocks():
     assert isinstance(image.phi, Rotator)
 
 
+def test_time_reversal_example():
+    # (B, E) = (Rotator(-1, 1), Reflector(1, 1)) negates the derivative and
+    # potential blocks, makes the spinor block Rotator(-phi1, phi2) and
+    # swaps the mass blocks
+    d = Reflector(Quat(1, 2, 3, 4), Quat(5, 6, 7, 8))
+    a = Reflector(I1, I2)
+    phi = Reflector(Quat(0.5, -1, 0, 2), I3)
+    m = Reflector(Quat(-2j), Quat(3j))
+    image = apply_discrete(DiracState(d, a, phi, m), "time_reversal")
+    assert image.d == Reflector(-d.upper, -d.lower)
+    assert image.a == Reflector(-I1, -I2)
+    assert image.phi == Rotator(-phi.upper, I3)
+    assert image.m == Reflector(Quat(3j), Quat(-2j))
+
+
 def test_charge_conjugation_flips_potential():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -294,3 +310,24 @@ def test_field_data_euclidean_structure():
     assert a.components[1:] == (-0.2, 0.1, 0.7)
     with pytest.raises(ValueError):
         FieldData(1.0, [1.0, 2.0])
+
+
+def test_nonfinite_physics_data_rejected():
+    nan, inf = float("nan"), float("inf")
+    for make, field in (
+        (lambda: FieldData(nan), "mass"),
+        (lambda: FieldData(1.0, [0, inf, 0, 0]), "potential"),
+        (lambda: PlaneWaveMode(nan, np.zeros(3), np.zeros(4)), "energy"),
+        (lambda: PlaneWaveMode(1.0, [0, nan, 0], np.zeros(4)), "momentum"),
+        (lambda: PlaneWaveMode(1.0, np.zeros(3), [0, 0, 1j * inf, 0]), "amplitude"),
+        (lambda: plane_wave_modes([nan, 0, 0], FieldData(1.0)), "momentum"),
+    ):
+        with pytest.raises(ValueError, match=field):
+            make()
+
+
+def test_transform_state_rejects_non_unit_rotor():
+    fd = FieldData(1.0)
+    state = state_from_mode(plane_wave_modes(np.zeros(3), fd)[3], fd)
+    with pytest.raises(ValueError, match="unit modulus"):
+        transform_state(state, TransformSpec(Quat(1, 0.5, 0, 0), 0))

@@ -3,23 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from qdirac.blocks import Reflector, Rotator
+from qdirac.blocks import Reflector
 from qdirac.harness import (
     boost_matrix4,
     minkowski_to_quat,
     quat_to_minkowski,
     rotation_matrix4,
+    temporal_rotation_matrix4,
 )
 from qdirac.quaternion import I1, I2, I3, ONE, Quat
 from qdirac.transforms import (
     ROTATION_PATTERNS,
-    DegenerateProjection,
-    discrete_elements,
+    TransformSpec,
     four_vector_transform,
-    measure_plane_angles,
     pattern_rotate,
-    plane_angle,
-    rotor_angle,
     rotor_blocks,
     rotor_boost,
     rotor_spatial,
@@ -41,13 +38,6 @@ def test_rotor_spatial_examples():
     assert (rotor_spatial([0, 0, 1.0], math.pi) - I3).max_abs() < 1e-15
     with pytest.raises(ValueError):
         rotor_spatial([0, 0, 2.0], 0.3)
-
-
-def test_rotor_angle_roundtrip():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        angle = rng.uniform(0.01, math.pi - 0.01)
-        assert abs(rotor_angle(rotor_spatial(rand_unit3(rng), angle)) - angle) < 1e-12
 
 
 def test_rotor_boost_structure():
@@ -82,30 +72,6 @@ def test_pattern_examples():
         assert (pattern_rotate(pattern, ONE, q) - q).max_abs() == 0.0
     with pytest.raises(ValueError):
         pattern_rotate("QQ", r, I1)
-
-
-def test_measure_plane_angles_examples():
-    xi = 0.6
-    r = rotor_spatial([0, 0, 1.0], xi)
-    moved = pattern_rotate("RQRc", r, I1)
-    xs, xt = measure_plane_angles(r, I1, moved)
-    assert abs(xs - xi) < 1e-12
-    assert xt is None  # i1 has no temporal-plane projection
-    moved = pattern_rotate("RQR", r, ONE)
-    xs, xt = measure_plane_angles(r, ONE, moved)
-    assert xs is None
-    assert abs(xt - xi) < 1e-12
-    q = Quat(0.5, 0.3, -0.4, 0.8)
-    xs, xt = measure_plane_angles(r, q, q)
-    assert abs(xs) < 1e-12 and abs(xt) < 1e-12
-
-
-def test_plane_angle_degenerate():
-    r = rotor_spatial([0, 0, 1.0], 0.5)
-    with pytest.raises(DegenerateProjection):
-        plane_angle(r, I1, I1, "temporal")
-    with pytest.raises(DegenerateProjection):
-        plane_angle(ONE, I1, I1, "spatial")
 
 
 def test_four_vector_transform_matches_matrices():
@@ -171,19 +137,6 @@ def test_rotor_blocks_shapes_and_equivalence():
         assert (moved.lower - direct.quat_conj()).max_abs() < 1e-13
 
 
-def test_discrete_elements():
-    b, e = discrete_elements("parity")
-    assert isinstance(b, Reflector) and isinstance(e, Rotator)
-    assert (b.upper - ONE).max_abs() == 0.0 and (b.lower - ONE).max_abs() == 0.0
-    b, e = discrete_elements("time_reversal")
-    assert isinstance(b, Rotator) and isinstance(e, Reflector)
-    assert (b.upper + ONE).max_abs() == 0.0 and (b.lower - ONE).max_abs() == 0.0
-    t = discrete_elements("charge_conjugation")
-    assert t == Rotator(I2, I2)
-    with pytest.raises(ValueError):
-        discrete_elements("chirality")
-
-
 def test_rotation_then_boost_is_one_rotor():
     # a z-rotation followed by an x-boost is neither a rotation nor a boost
     angle, w = 0.7, 0.9
@@ -199,101 +152,29 @@ def test_rotation_then_boost_is_one_rotor():
         assert (blocks.lower - moved.quat_conj()).max_abs() < 1e-14
 
 
-def _numpy_plane_angle(r, q, q_after, plane, tol=1e-9):
-    """The numpy implementation that ``plane_angle`` replaced, as a reference."""
-
-    def real_vec4(x):
-        c = np.array(x.components)
-        scale = max(1.0, float(np.max(np.abs(c))))
-        if float(np.max(np.abs(c.imag))) > 1e-9 * scale:
-            raise ValueError("expected a quaternion with real components")
-        return c.real
-
-    v = real_vec4(r)[1:]
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        raise DegenerateProjection("rotor has no spatial direction")
-    axis = v / norm
-    a, b = real_vec4(q), real_vec4(q_after)
-    if plane == "temporal":
-        pa = np.array([a[0], a[1:] @ axis])
-        pb = np.array([b[0], b[1:] @ axis])
-    elif plane == "spatial":
-        e = np.zeros(3)
-        e[int(np.argmin(np.abs(axis)))] = 1.0
-        v1 = np.cross(axis, e)
-        v1 /= np.linalg.norm(v1)
-        v2 = np.cross(axis, v1)
-        pa = np.array([a[1:] @ v1, a[1:] @ v2])
-        pb = np.array([b[1:] @ v1, b[1:] @ v2])
-    else:
-        raise ValueError("plane must be 'temporal' or 'spatial'")
-    if np.linalg.norm(pa) < tol or np.linalg.norm(pb) < tol:
-        raise DegenerateProjection("projection onto the %s plane is degenerate" % plane)
-    d = math.atan2(pb[1], pb[0]) - math.atan2(pa[1], pa[0])
-    return math.atan2(math.sin(d), math.cos(d))
+def test_temporal_rotation_matrix_sign():
+    # about z by t: the temporal axis turns toward +z, and +z toward -t
+    t = 0.3
+    c, s = math.cos(t), math.sin(t)
+    want = np.array([[c, 0, 0, -s], [0, 1, 0, 0], [0, 0, 1, 0], [s, 0, 0, c]])
+    assert np.max(np.abs(temporal_rotation_matrix4([0, 0, 1.0], t) - want)) < 1e-15
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (DegenerateProjection, ValueError) as exc:
-        return type(exc)
+def test_rotor_laws_reject_non_unit_rotors():
+    for rotor in (Quat(2.0), Quat(1, 0.5, 0, 0)):
+        with pytest.raises(ValueError, match="unit modulus"):
+            four_vector_transform(I1, rotor)
+        with pytest.raises(ValueError, match="unit modulus"):
+            rotor_blocks(rotor)
+    # a product of unit rotors is within the tolerance
+    rotor = rotor_boost([1.0, 0, 0], 2.0) * rotor_spatial([0, 1.0, 0], 3.0)
+    four_vector_transform(I1, rotor)
+    rotor_blocks(rotor)
 
 
-def test_plane_angle_matches_numpy_reference():
-    rng = np.random.default_rng(7)
-    # axes along the basis and with tied components exercise the frame choice
-    axes = [np.eye(3)[k] for k in range(3)]
-    axes += [np.array(v) / 6**0.5 for v in ((1.0, 1.0, 2.0), (-2.0, 1.0, -1.0))]
-    for draw in range(2000):
-        axis = axes[draw] if draw < len(axes) else rand_unit3(rng)
-        r = rotor_spatial(axis, rng.uniform(0.05, math.pi - 0.05))
-        q = Quat(*rng.uniform(-1, 1, 4))
-        q_after = pattern_rotate(ROTATION_PATTERNS[draw % 8], r, q)
-        for plane in ("spatial", "temporal"):
-            for tol in (1e-9, 0.05):
-                want = _outcome(_numpy_plane_angle, r, q, q_after, plane, tol)
-                got = _outcome(plane_angle, r, q, q_after, plane, tol)
-                if isinstance(want, float):
-                    assert abs(got - want) <= 1e-14
-                else:
-                    assert got is want
-
-
-def _in_plane_quat(axis, plane, s, rng):
-    """A real quaternion whose projection into ``plane`` has length s."""
-    theta = rng.uniform(-math.pi, math.pi)
-    frame = np.linalg.svd(axis[None, :])[2][1:]  # orthonormal pair normal to axis
-    off = rng.uniform(-1, 1)
-    if plane == "temporal":
-        vec = s * math.sin(theta) * axis + off * frame[0]
-        return Quat(s * math.cos(theta), *vec)
-    vec = off * axis + s * (math.cos(theta) * frame[0] + math.sin(theta) * frame[1])
-    return Quat(rng.uniform(-1, 1), *vec)
-
-
-def test_plane_angle_raises_where_numpy_reference_raises():
-    rng = np.random.default_rng(8)
-    tol = 0.05
-    for _ in range(300):
-        axis = rand_unit3(rng)
-        r = rotor_spatial(axis, rng.uniform(0.05, math.pi - 0.05))
-        for plane in ("spatial", "temporal"):
-            for factor in (1 - 1e-9, 1 + 1e-9):
-                q = _in_plane_quat(axis, plane, tol * factor, rng)
-                want = _outcome(_numpy_plane_angle, r, q, q, plane, tol)
-                got = _outcome(plane_angle, r, q, q, plane, tol)
-                degenerate = DegenerateProjection if factor < 1 else 0.0
-                assert want == degenerate and got == degenerate
-    r = rotor_spatial([0, 0, 1.0], 0.5)
-    q = Quat(0.3, 0.2, -0.5, 0.4)
-    for imag, expected in ((1e-8, ValueError), (1e-10, 0.0)):
-        noisy = Quat(0.3, 0.2 + 1j * imag, -0.5, 0.4)
-        for fn in (_numpy_plane_angle, plane_angle):
-            assert _outcome(fn, r, noisy, q, "spatial") == expected
-    boost = rotor_boost([0, 0, 1.0], 0.5)
-    for fn in (_numpy_plane_angle, plane_angle):
-        assert _outcome(fn, boost, q, q, "spatial") is ValueError
-        assert _outcome(fn, r, q, q, "diagonal") is ValueError
-        assert _outcome(fn, ONE, q, q, "diagonal") is DegenerateProjection
+def test_transform_spec_requires_integral_n():
+    rotor = rotor_spatial([0, 0, 1.0], 0.4)
+    with pytest.raises(ValueError, match="integer"):
+        TransformSpec(rotor, 1.5)
+    spec = TransformSpec(rotor, np.int64(2))
+    assert spec.n == 2 and type(spec.n) is int
