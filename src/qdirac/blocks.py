@@ -12,11 +12,15 @@ blocks; the trace of any reflector is zero.  Under a similarity transform
 by a rotator with unit-modulus blocks the temporal part of the trace is
 invariant (the full quaternion trace is merely conjugated), which is the
 statement inherited by the 4x4 scalar trace.
+
+The constructors check that both entries are quaternions or scalars.  The
+results of block arithmetic are built unchecked from the quaternions that
+the arithmetic returns.
 """
 
 from __future__ import annotations
 
-from .quaternion import _SCALARS, Quat, _max_abs
+from .quaternion import _SCALARS, ONE, Quat, _max_abs
 
 __all__ = [
     "Reflector",
@@ -42,6 +46,15 @@ class _Block:
         self.upper = _as_quat(upper)
         self.lower = _as_quat(lower)
 
+    @classmethod
+    def _of(cls, upper: Quat, lower: Quat):
+        """Unchecked constructor for results of block arithmetic, whose
+        entries are already quaternions."""
+        b = object.__new__(cls)
+        b.upper = upper
+        b.lower = lower
+        return b
+
     def __repr__(self):
         return "%s(%r, %r)" % (type(self).__name__, self.upper, self.lower)
 
@@ -59,34 +72,34 @@ class _Block:
 
     def __add__(self, other):
         if type(other) is type(self):
-            return type(self)(self.upper + other.upper, self.lower + other.lower)
+            return self._of(self.upper + other.upper, self.lower + other.lower)
         if isinstance(other, _Block):
             raise TypeError("cannot add blocks of different shape")
         return NotImplemented
 
     def __sub__(self, other):
         if type(other) is type(self):
-            return type(self)(self.upper - other.upper, self.lower - other.lower)
+            return self._of(self.upper - other.upper, self.lower - other.lower)
         if isinstance(other, _Block):
             raise TypeError("cannot subtract blocks of different shape")
         return NotImplemented
 
     def __neg__(self):
-        return type(self)(-self.upper, -self.lower)
+        return self._of(-self.upper, -self.lower)
 
     def __rmul__(self, other):
         # scalar * block; scalars multiply both blocks
         if isinstance(other, _SCALARS):
-            return type(self)(self.upper * other, self.lower * other)
+            return self._of(self.upper * other, self.lower * other)
         return NotImplemented
 
     def quat_conj(self):
         """Entrywise quaternion conjugation; shape is preserved."""
-        return type(self)(self.upper.quat_conj(), self.lower.quat_conj())
+        return self._of(self.upper.quat_conj(), self.lower.quat_conj())
 
     def complex_conj(self):
         """Entrywise complex conjugation; shape is preserved."""
-        return type(self)(self.upper.complex_conj(), self.lower.complex_conj())
+        return self._of(self.upper.complex_conj(), self.lower.complex_conj())
 
     def max_abs(self) -> float:
         """Largest component modulus of both blocks; NaN when any is NaN."""
@@ -98,15 +111,15 @@ class Rotator(_Block):
 
     def __mul__(self, other):
         if isinstance(other, Rotator):
-            return Rotator(self.upper * other.upper, self.lower * other.lower)
+            return Rotator._of(self.upper * other.upper, self.lower * other.lower)
         if isinstance(other, Reflector):
-            return Reflector(self.upper * other.upper, self.lower * other.lower)
+            return Reflector._of(self.upper * other.upper, self.lower * other.lower)
         if isinstance(other, _SCALARS):
-            return Rotator(self.upper * other, self.lower * other)
+            return Rotator._of(self.upper * other, self.lower * other)
         return NotImplemented
 
     def inverse(self) -> "Rotator":
-        return Rotator(self.upper.inverse(), self.lower.inverse())
+        return Rotator._of(self.upper.inverse(), self.lower.inverse())
 
     def trace(self) -> Quat:
         """Sum of the diagonal quaternion blocks."""
@@ -118,15 +131,15 @@ class Reflector(_Block):
 
     def __mul__(self, other):
         if isinstance(other, Reflector):
-            return Rotator(self.upper * other.lower, self.lower * other.upper)
+            return Rotator._of(self.upper * other.lower, self.lower * other.upper)
         if isinstance(other, Rotator):
-            return Reflector(self.upper * other.lower, self.lower * other.upper)
+            return Reflector._of(self.upper * other.lower, self.lower * other.upper)
         if isinstance(other, _SCALARS):
-            return Reflector(self.upper * other, self.lower * other)
+            return Reflector._of(self.upper * other, self.lower * other)
         return NotImplemented
 
     def inverse(self) -> "Reflector":
-        return Reflector(self.lower.inverse(), self.upper.inverse())
+        return Reflector._of(self.lower.inverse(), self.upper.inverse())
 
     def trace(self) -> Quat:
         """The trace of any reflector is zero."""
@@ -134,7 +147,7 @@ class Reflector(_Block):
 
 
 def identity_rotator() -> Rotator:
-    return Rotator(Quat(1.0), Quat(1.0))
+    return Rotator._of(ONE, ONE)
 
 
 def similarity(x: _Block, r: Rotator) -> _Block:
@@ -151,7 +164,9 @@ def block_power(r: Rotator, n: int) -> Rotator:
     """Integer power of a rotator; negative powers use block inverses."""
     if n < 0:
         return block_power(r.inverse(), -n)
-    out = identity_rotator()
-    for _ in range(n):
+    if n == 0:
+        return identity_rotator()
+    out = r
+    for _ in range(n - 1):
         out = out * r
     return out

@@ -8,10 +8,17 @@ temporal parts, and once more as the temporal part of the trace of the
 rotator K PhiS I_mu Phi built from reflector factors.  All three
 pipelines are kept separate so they can check each other.
 
-The block-trace factors K PhiS_a I_mu and Phi_b are built once per pair,
-by ``_current_factors``.  For reflectors L and Phi, temporal(trace(L Phi))
+The block-trace factors K PhiS_a I_mu and Phi_b of all modes come from
+``_current_factors`` at once.  The fixed blocks, K, I_mu and a transform's
+rotor blocks, fold into 4x4 left- and right-multiplication maps, built once
+per call with a transform and once per process without one, and one
+contraction applies them to the stacked components of herm_conj(phi) and
+of phi.  For reflectors L and Phi, temporal(trace(L Phi))
 = dot(L.upper, Phi.lower.quat_conj()) + dot(L.lower, Phi.upper.quat_conj()),
 so the last product, its trace and its temporal part are one contraction.
+``current_divergence`` checks the equations of all modes on their stacked
+components and contracts the factors a chunk of rows at a time, with at
+most 64 KB of currents in a chunk.
 
 Conservation is evaluated exactly at the symbol level: for a
 superposition of zero-potential solution modes with a common scalar mass,
@@ -26,12 +33,13 @@ cone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import Reflector, block_power
-from .dirac import BispinorPair, FieldData, PlaneWaveMode, momentum_symbol, pair_residual
+from .blocks import Reflector, block_power, identity_rotator
+from .dirac import BispinorPair, FieldData, PlaneWaveMode
 from .dirac import _check_finite
 from .quaternion import BASIS, Quat
 from .spinor_maps import SIGMA
@@ -103,47 +111,79 @@ def euclidean_current(psi) -> np.ndarray:
     return np.array([j[0] / 1j, j[1], j[2], j[3]], dtype=complex)
 
 
-def _phi_blocks(pair: BispinorPair) -> Reflector:
-    return Reflector(pair.phi1, pair.phi2)
+# the coefficient block K of the block-trace form
+_K_BLOCKS = Reflector(Quat(_K_COEFF), Quat(_K_COEFF).quat_conj())
 
 
-def _phi_s_blocks(pair: BispinorPair) -> Reflector:
-    return Reflector(pair.phi1.herm_conj(), pair.phi2.herm_conj())
+# (A * q)[i] = sum_j _LSIGN[i, j] * A[_IDX[i, j]] * q[j], and (q * B)[i]
+# likewise with _RSIGN: the 4x4 matrices of left and right multiplication
+_IDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_LSIGN = np.array([[1, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]])
+_RSIGN = np.array([[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]])
+_QCONJ = np.array([1, -1, -1, -1])
+# _factor_maps lists 14 quaternions and flattens their components.  Its map
+# (m, s) is q -> a q b, with a the 1st or 2nd (m < 4) or the 3rd or 4th
+# (m = 4) quaternion by side s, and b the (5 + 2m + s)th.  These index the
+# flat components for the entries of the matrices of q -> a q and q -> q b.
+_LEFT_AT = 4 * np.array([[0, 1]] * 4 + [[2, 3]])[..., None, None] + _IDX
+_RIGHT_AT = 4 * np.arange(4, 14).reshape(5, 2)[..., None, None] + _IDX
+# row chunks of current_divergence hold at most this many bytes of currents
+_CHUNK_BYTES = 1 << 16
 
 
-def _k_blocks() -> Reflector:
-    k = Quat(_K_COEFF)
-    return Reflector(k, k.quat_conj())
+def _factor_maps(spec: TransformSpec | None):
+    """The fixed blocks of the current folded into 4x4 maps, four of them
+    per side of a mode for the left factor and one for the right.
+
+    Side 0 of a mode is its phi2 and side 1 its phi1.  Under the laws
+    r Phi rc_n, r_n PhiS rc, r_n K rc_n and r I_mu rc, the upper block of
+    K PhiS I_mu is K.u r_n.l h2 rc.u r.u e_mu rc.l and its lower block
+    K.l r_n.u h1 rc.l r.l e_mu^c rc.u (K transformed, h = herm_conj(phi),
+    I_mu = Reflector(e_mu, e_mu^c)); Phi.lower and Phi.upper are
+    r.l phi2 rc_n.u and r.u phi1 rc_n.l.
+    """
+    k = _K_BLOCKS
+    if spec is None:
+        r = rc = r_n = rc_n = identity_rotator()
+    else:
+        r, rc = rotor_blocks(spec.rotor)
+        r_n, rc_n = block_power(r, spec.n), block_power(rc, spec.n)
+        k = r_n * k * rc_n
+    quats = [k.upper * r_n.lower, k.lower * r_n.upper, r.lower, r.upper]
+    w_u, w_l = rc.upper * r.upper, rc.lower * r.lower
+    for e in BASIS:
+        quats += (w_u * e * rc.lower, w_l * e.quat_conj() * rc.upper)
+    quats += (rc_n.upper, rc_n.lower)
+    c = np.array([q.components for q in quats]).ravel()
+    maps = np.einsum("msij,msjk->msik", c[_LEFT_AT] * _LSIGN, c[_RIGHT_AT] * _RSIGN)
+    # the left factor's maps act on conj(phi), with herm_conj's signs folded
+    # in; the right factor is the quaternion conjugate of the transformed block
+    return maps[:4] * _QCONJ, maps[4] * _QCONJ[:, None]
 
 
-def _i_blocks(mu: int) -> Reflector:
-    return Reflector(BASIS[mu], BASIS[mu].quat_conj())
+# The no-transform maps and the equation table are built once, on first use.
+# Built during the package import, they raised the peak RSS of a process that
+# imports the package afresh many times, as bench/run.py does, by 0.25 MB.
+@functools.cache
+def _plain_maps():
+    return _factor_maps(None)
 
 
 def _current_factors(pairs: list[BispinorPair], spec: TransformSpec | None = None):
     """Components of K PhiS_a I_mu (``left[a, mu]``, upper then lower block)
     and of Phi_b.lower.quat_conj() then Phi_b.upper.quat_conj() (``right[b]``),
     so ``left[a] @ right[b]`` is the current bilinear of pairs a and b.  A spec
-    applies the laws r Phi rc_n, r_n PhiS rc, r_n K rc_n and r I_mu rc."""
-    k = _k_blocks()
-    i_blocks = [_i_blocks(mu) for mu in range(4)]
-    if spec is not None:
-        r, rc = rotor_blocks(spec.rotor)
-        r_n, rc_n = block_power(r, spec.n), block_power(rc, spec.n)
-        k = r_n * k * rc_n
-        i_blocks = [r * b * rc for b in i_blocks]
-    left = np.empty((len(pairs), 4, 2, 4), dtype=complex)
-    right = np.empty((len(pairs), 2, 4), dtype=complex)
-    for a, pair in enumerate(pairs):
-        phi, phi_s = _phi_blocks(pair), _phi_s_blocks(pair)
-        if spec is not None:
-            phi = r * phi * rc_n
-            phi_s = r_n * phi_s * rc
-        k_phi_s = k * phi_s
-        for mu, i_mu in enumerate(i_blocks):
-            factor = k_phi_s * i_mu
-            left[a, mu] = factor.upper.components, factor.lower.components
-        right[a] = phi.lower.quat_conj().components, phi.upper.quat_conj().components
+    applies the laws r Phi rc_n, r_n PhiS rc, r_n K rc_n and r I_mu rc.
+
+    The fixed blocks fold into the maps of ``_factor_maps``, so all modes
+    take one contraction per factor."""
+    left_maps, right_maps = _plain_maps() if spec is None else _factor_maps(spec)
+    phi = np.array(
+        [pair.phi2.components + pair.phi1.components for pair in pairs],
+        dtype=complex,
+    ).reshape(len(pairs), 2, 4)
+    left = np.einsum("msij,asj->amsi", left_maps, phi.conj())
+    right = np.einsum("sij,asj->asi", right_maps, phi)
     return left.reshape(len(pairs), 4, 8), right.reshape(len(pairs), 8)
 
 
@@ -152,6 +192,42 @@ def block_current(pair: BispinorPair) -> np.ndarray:
     contraction of the pair's factors with themselves."""
     left, right = _current_factors([pair])
     return left[0] @ right[0]
+
+
+# P = (E, i p1, i p2, i p3) from (E, p1, p2, p3)
+_SYMBOL = np.array([1, 1j, 1j, 1j])
+
+
+@functools.cache
+def _equation_table() -> np.ndarray:
+    """The equations P^c phi1 - phi2 m and P phi2 + phi1 m^c of a zero-potential
+    mode, m = -i mass, as a matrix acting on the products of (E, p1, p2, p3,
+    mass) with the components of (phi1, phi2)."""
+    # coefficient of P[p] in entry (i, j) of the matrix of q -> P q
+    at = (_IDX == np.arange(4)[:, None, None]) * _LSIGN
+    table = np.zeros((2, 4, 5, 2, 4), dtype=complex)
+    table[0, :, :4, 0] = np.einsum("pij,p->ipj", at, _SYMBOL * _QCONJ)
+    table[1, :, :4, 1] = np.einsum("pij,p->ipj", at, _SYMBOL)
+    table[0, :, 4, 1] = 1j * np.eye(4)
+    table[1, :, 4, 0] = -1j * np.eye(4)
+    return table.reshape(8, 40)
+
+
+def _check_solutions(solutions, fd: FieldData) -> np.ndarray:
+    """Momentum symbols of the modes, (N, 4); NotASolution names the first
+    mode whose quaternion equations miss zero by more than 1e-8."""
+    coeffs = np.array(
+        [(mode.energy, *mode.momentum.tolist(), fd.mass) for _, mode in solutions]
+    )
+    phi = np.array([pair.phi1.components + pair.phi2.components for pair, _ in solutions])
+    products = (coeffs[:, :, None] * phi[:, None, :]).reshape(len(solutions), 40)
+    residuals = np.einsum("ik,ak->ai", _equation_table(), products)
+    # NaN fails too
+    if not np.max(np.abs(residuals)) <= _SOLUTION_TOL:
+        ok = np.abs(residuals).max(axis=1) <= _SOLUTION_TOL
+        _, mode = solutions[int(np.argmin(ok))]
+        raise NotASolution("mode with energy %g fails its residual" % mode.energy)
+    return coeffs[:, :4] * _SYMBOL
 
 
 def current_divergence(
@@ -164,31 +240,26 @@ def current_divergence(
     Every mode must solve the zero-potential equation to 1e-8; a
     transform spec, when given, transforms the spinor, dagger-spinor,
     coefficient and basis blocks by their respective laws while the phase
-    factors (and hence the difference symbols) stay put.  Row ``a`` of the
-    once-built factors is contracted with all modes b, weighted by P_b - P_a.
+    factors (and hence the difference symbols) stay put.  The once-built
+    factors are contracted a chunk of rows at a time: row ``a`` with all
+    modes b, weighted by P_b - P_a.
     """
     if not solutions:
         raise ValueError("the conservation check needs at least one mode")
     if np.any(fd.potential != 0.0):
         raise ValueError("the conservation identity assumes zero potential")
-    syms = np.empty((len(solutions), 4), dtype=complex)
-    for a, (pair, mode) in enumerate(solutions):
-        r1, r2 = pair_residual(pair, mode, fd)
-        # NaN fails too
-        if not (r1.max_abs() <= _SOLUTION_TOL and r2.max_abs() <= _SOLUTION_TOL):
-            raise NotASolution(
-                "mode with energy %g fails its residual" % mode.energy
-            )
-        syms[a] = momentum_symbol(mode)[0].components
-
+    syms = _check_solutions(solutions, fd)
     left, right = _current_factors([pair for pair, _ in solutions], spec)
-    worst = np.empty(len(solutions))
-    for a in range(len(solutions)):
+    n = len(solutions)
+    rows = max(1, _CHUNK_BYTES // (4 * n * 16))
+    worst = []
+    for a in range(0, n, rows):
         # einsum, not @: a first BLAS call costs about 0.2 MB of peak RSS
-        currents = np.einsum("mk,bk->mb", left[a], right)
-        coeffs = ((syms - syms[a]).T * currents).sum(axis=0)
-        worst[a] = np.max(np.abs(coeffs))
-    return float(np.max(worst))
+        currents = np.einsum("amk,bk->amb", left[a : a + rows], right)
+        # weighted in place, so a chunk holds two arrays of its size, not three
+        currents *= syms.T - syms[a : a + rows, :, None]
+        worst.append(np.max(np.abs(currents.sum(axis=1))))
+    return float(np.max(worst))  # keeps a NaN, which max() may drop
 
 
 @dataclass(frozen=True)

@@ -234,42 +234,46 @@ def embed4(x) -> np.ndarray:
     return out
 
 
-def rotation_matrix3(axis, angle: float) -> np.ndarray:
-    a = np.asarray(axis, dtype=float)
-    k = np.array(
-        [[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]], dtype=float
-    )
-    return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
-
-
 def rotation_matrix4(axis, angle: float) -> np.ndarray:
-    out = np.eye(4)
-    out[1:, 1:] = rotation_matrix3(axis, angle)
-    return out
+    """Rotation of the spatial coordinates by ``angle`` about a unit axis:
+    I + sin(angle) K + (1 - cos(angle)) K K, with K the cross-product matrix
+    [[0, -z, y], [z, 0, -x], [-y, x, 0]] of the axis."""
+    x, y, z = (float(v) for v in axis)
+    s, t = math.sin(angle), 1 - math.cos(angle)
+    return np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0 + t * (-z * z - y * y), -s * z + t * (y * x), s * y + t * (z * x)],
+            [0.0, s * z + t * (x * y), 1.0 + t * (-z * z - x * x), -s * x + t * (z * y)],
+            [0.0, -s * y + t * (x * z), s * x + t * (y * z), 1.0 + t * (-y * y - x * x)],
+        ]
+    )
+
+
+def _time_axis_matrix4(axis, c: float, s_row: float, s_col: float) -> np.ndarray:
+    """[[c, s_row a^T], [s_col a, I + (c - 1) a a^T]] for a unit axis a."""
+    x, y, z = (float(v) for v in axis)
+    d = c - 1.0
+    return np.array(
+        [
+            [c, s_row * x, s_row * y, s_row * z],
+            [s_col * x, 1.0 + d * (x * x), d * (x * y), d * (x * z)],
+            [s_col * y, d * (y * x), 1.0 + d * (y * y), d * (y * z)],
+            [s_col * z, d * (z * x), d * (z * y), 1.0 + d * (z * z)],
+        ]
+    )
 
 
 def temporal_rotation_matrix4(axis, angle: float) -> np.ndarray:
     """Rotation of the plane of the temporal axis and (0, axis), turning the
     temporal axis toward (0, axis) for a positive angle."""
-    a = np.asarray(axis, dtype=float)
-    out = np.eye(4)
-    c, s = math.cos(angle), math.sin(angle)
-    out[0, 0] = c
-    out[0, 1:] = -s * a
-    out[1:, 0] = s * a
-    out[1:, 1:] = np.eye(3) + (c - 1.0) * np.outer(a, a)
-    return out
+    s = math.sin(angle)
+    return _time_axis_matrix4(axis, math.cos(angle), -s, s)
 
 
 def boost_matrix4(axis, rapidity: float) -> np.ndarray:
-    a = np.asarray(axis, dtype=float)
-    out = np.eye(4)
-    c, s = math.cosh(rapidity), math.sinh(rapidity)
-    out[0, 0] = c
-    out[0, 1:] = s * a
-    out[1:, 0] = s * a
-    out[1:, 1:] = np.eye(3) + (c - 1.0) * np.outer(a, a)
-    return out
+    s = math.sinh(rapidity)
+    return _time_axis_matrix4(axis, math.cosh(rapidity), s, s)
 
 
 def quat_to_minkowski(q: Quat) -> np.ndarray:

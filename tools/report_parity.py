@@ -1,6 +1,6 @@
 """Compare the verification reports of two checkouts of qdirac.
 
-    python tools/report_parity.py PARENT CHANGE
+    python tools/report_parity.py [--verdicts] PARENT CHANGE
 
 Runs ``qdirac verify --format json`` on every suite, ``all`` included, at
 seeds 0, 1 and 5 and trials 25, 100 and 200.  Each checkout runs in one
@@ -9,12 +9,20 @@ child process that imports ``qdirac`` from the checkout's ``src/``.  The
 becomes one line per case and one line for the rest.  The lines that differ
 are printed as a unified diff, PARENT first.  Exits 0 when the reports are
 identical and 1 when they are not.
+
+With ``--verdicts`` the reports must agree in everything but the cases'
+``max_residual``: the same lines in the same order, each case with the same
+name, ``pass``, ``tol`` and ``kind``.  The lines that disagree are printed
+in pairs, PARENT first, and then, for every case name, the largest
+``max_residual`` shift over all runs.  Exits 0 when the verdicts agree and
+1 when they do not.
 """
 
 from __future__ import annotations
 
 import difflib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -61,12 +69,46 @@ def report_lines(checkout: pathlib.Path) -> list[str]:
     return done.stdout.splitlines()
 
 
+def verdict_lines(parent: list[str], change: list[str]) -> tuple[list[str], dict]:
+    """The lines on which ``change`` disagrees with ``parent`` in anything but
+    ``max_residual``, and the largest ``max_residual`` shift of each case."""
+    mismatched, shifts = [], {}
+    if len(parent) != len(change):
+        mismatched.append("%d report lines against %d" % (len(parent), len(change)))
+    for p_line, c_line in zip(parent, change):
+        p_head, p_json = p_line.split(" {", 1)
+        c_head, c_json = c_line.split(" {", 1)
+        p_case, c_case = json.loads("{" + p_json), json.loads("{" + c_json)
+        p_res, c_res = p_case.pop("max_residual", None), c_case.pop("max_residual", None)
+        if p_head != c_head or p_case != c_case:
+            mismatched += [p_line, c_line]
+        elif p_res is not None:
+            # "all" reports name their cases suite/case, suite reports case
+            name = p_case["name"]
+            key = name if "/" in name else "%s/%s" % (p_head.split()[0], name)
+            shift = 0.0 if p_res == c_res else abs(float(c_res) - float(p_res))
+            prev = shifts.setdefault(key, shift)
+            # a NaN shift, from a NaN residual on one side, stays the largest
+            if not math.isnan(prev) and (math.isnan(shift) or shift > prev):
+                shifts[key] = shift
+    return mismatched, shifts
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        print("usage: report_parity.py PARENT CHANGE", file=sys.stderr)
+    verdicts = argv[:1] == ["--verdicts"]
+    paths = argv[1:] if verdicts else argv
+    if len(paths) != 2:
+        print("usage: report_parity.py [--verdicts] PARENT CHANGE", file=sys.stderr)
         return 2
-    parent, change = (pathlib.Path(a).resolve() for a in argv)
+    parent, change = (pathlib.Path(a).resolve() for a in paths)
+    if verdicts:
+        mismatched, shifts = verdict_lines(report_lines(parent), report_lines(change))
+        for line in mismatched:
+            print(line)
+        for name, shift in sorted(shifts.items()):
+            print("%-48s %.3e" % (name, shift))
+        return 1 if mismatched else 0
     diff = list(
         difflib.unified_diff(
             report_lines(parent), report_lines(change),
