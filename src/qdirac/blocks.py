@@ -25,7 +25,6 @@ from .quaternion import _SCALARS, ONE, Quat, _max_abs
 __all__ = [
     "Reflector",
     "Rotator",
-    "similarity",
     "block_power",
     "identity_rotator",
 ]
@@ -148,16 +147,6 @@ class Reflector(_Block):
 
 def identity_rotator() -> Rotator:
     return Rotator._of(ONE, ONE)
-
-
-def similarity(x: _Block, r: Rotator) -> _Block:
-    """Return r * x * r.quat_conj(); r must have invertible blocks."""
-    if not isinstance(r, Rotator):
-        raise TypeError("similarity transforms are taken with rotators")
-    # verify invertibility loudly, propagating SingularQuaternion
-    r.upper.inverse()
-    r.lower.inverse()
-    return r * x * r.quat_conj()
 
 
 def block_power(r: Rotator, n: int) -> Rotator:

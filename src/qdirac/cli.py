@@ -53,9 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="spinor transformation exponents (default -1,0,1,2)",
     )
     verify.add_argument(
-        "--grid-h", type=float, default=0.05, help="grid spacing (default 0.05)"
-    )
-    verify.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
     )
 
@@ -92,7 +89,6 @@ def main(argv=None) -> int:
             trials=args.trials,
             tol=args.tol,
             n_set=args.n,
-            grid_h=args.grid_h,
         )
         report = run_suite(cfg)
     except (UnknownSuite, ValueError) as exc:

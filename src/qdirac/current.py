@@ -13,11 +13,14 @@ The block-trace factors K PhiS_a I_mu and Phi_b of all modes come from
 rotor blocks, fold into 4x4 left- and right-multiplication maps, built once
 per call with a transform and once per process without one, and one
 contraction applies them to the stacked components of herm_conj(phi) and
-of phi.  For reflectors L and Phi, temporal(trace(L Phi))
+of phi.  The maps are products of the left- and right-multiplication
+matrices of ``quaternion``, the one home of the product's index and sign
+tables.  For reflectors L and Phi, temporal(trace(L Phi))
 = dot(L.upper, Phi.lower.quat_conj()) + dot(L.lower, Phi.upper.quat_conj()),
 so the last product, its trace and its temporal part are one contraction.
-``current_divergence`` checks the equations of all modes on their stacked
-components and contracts the factors a chunk of rows at a time, with at
+``current_divergence`` checks the equations of ``pair_residual`` for all
+modes at once, through the left-multiplication matrices of their momentum
+symbols, and contracts the factors a chunk of rows at a time, with at
 most 64 KB of currents in a chunk.
 
 Conservation is evaluated exactly at the symbol level: for a
@@ -40,8 +43,8 @@ import numpy as np
 
 from .blocks import Reflector, block_power, identity_rotator
 from .dirac import BispinorPair, FieldData, PlaneWaveMode
-from .dirac import _check_finite
-from .quaternion import BASIS, Quat
+from .dirac import _SYMBOL, _check_finite, _symbol
+from .quaternion import BASIS, Quat, _left_matrix, _right_matrix
 from .spinor_maps import SIGMA
 from .transforms import TransformSpec, rotor_blocks
 
@@ -115,18 +118,10 @@ def euclidean_current(psi) -> np.ndarray:
 _K_BLOCKS = Reflector(Quat(_K_COEFF), Quat(_K_COEFF).quat_conj())
 
 
-# (A * q)[i] = sum_j _LSIGN[i, j] * A[_IDX[i, j]] * q[j], and (q * B)[i]
-# likewise with _RSIGN: the 4x4 matrices of left and right multiplication
-_IDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_LSIGN = np.array([[1, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]])
-_RSIGN = np.array([[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]])
+# the component signs of the quaternion conjugate
 _QCONJ = np.array([1, -1, -1, -1])
-# _factor_maps lists 14 quaternions and flattens their components.  Its map
-# (m, s) is q -> a q b, with a the 1st or 2nd (m < 4) or the 3rd or 4th
-# (m = 4) quaternion by side s, and b the (5 + 2m + s)th.  These index the
-# flat components for the entries of the matrices of q -> a q and q -> q b.
-_LEFT_AT = 4 * np.array([[0, 1]] * 4 + [[2, 3]])[..., None, None] + _IDX
-_RIGHT_AT = 4 * np.arange(4, 14).reshape(5, 2)[..., None, None] + _IDX
+# the signs of the mass terms -phi2 m and phi1 m^c of the two equations
+_MASS_SIGNS = np.array([[-1], [1]])
 # row chunks of current_divergence hold at most this many bytes of currents
 _CHUNK_BYTES = 1 << 16
 
@@ -149,19 +144,21 @@ def _factor_maps(spec: TransformSpec | None):
         r, rc = rotor_blocks(spec.rotor)
         r_n, rc_n = block_power(r, spec.n), block_power(rc, spec.n)
         k = r_n * k * rc_n
-    quats = [k.upper * r_n.lower, k.lower * r_n.upper, r.lower, r.upper]
+    # map (m, s) is q -> a q b, with a the (2m + s)th quaternion, or the
+    # (8 + s)th for m = 4, and b the (10 + 2m + s)th
+    quats = [k.upper * r_n.lower, k.lower * r_n.upper] * 4 + [r.lower, r.upper]
     w_u, w_l = rc.upper * r.upper, rc.lower * r.lower
     for e in BASIS:
         quats += (w_u * e * rc.lower, w_l * e.quat_conj() * rc.upper)
     quats += (rc_n.upper, rc_n.lower)
-    c = np.array([q.components for q in quats]).ravel()
-    maps = np.einsum("msij,msjk->msik", c[_LEFT_AT] * _LSIGN, c[_RIGHT_AT] * _RSIGN)
+    c = np.array([q.components for q in quats]).reshape(2, 5, 2, 4)
+    maps = np.einsum("msij,msjk->msik", _left_matrix(c[0]), _right_matrix(c[1]))
     # the left factor's maps act on conj(phi), with herm_conj's signs folded
     # in; the right factor is the quaternion conjugate of the transformed block
     return maps[:4] * _QCONJ, maps[4] * _QCONJ[:, None]
 
 
-# The no-transform maps and the equation table are built once, on first use.
+# The no-transform maps are built once, on first use.
 # Built during the package import, they raised the peak RSS of a process that
 # imports the package afresh many times, as bench/run.py does, by 0.25 MB.
 @functools.cache
@@ -194,40 +191,26 @@ def block_current(pair: BispinorPair) -> np.ndarray:
     return left[0] @ right[0]
 
 
-# P = (E, i p1, i p2, i p3) from (E, p1, p2, p3)
-_SYMBOL = np.array([1, 1j, 1j, 1j])
-
-
-@functools.cache
-def _equation_table() -> np.ndarray:
-    """The equations P^c phi1 - phi2 m and P phi2 + phi1 m^c of a zero-potential
-    mode, m = -i mass, as a matrix acting on the products of (E, p1, p2, p3,
-    mass) with the components of (phi1, phi2)."""
-    # coefficient of P[p] in entry (i, j) of the matrix of q -> P q
-    at = (_IDX == np.arange(4)[:, None, None]) * _LSIGN
-    table = np.zeros((2, 4, 5, 2, 4), dtype=complex)
-    table[0, :, :4, 0] = np.einsum("pij,p->ipj", at, _SYMBOL * _QCONJ)
-    table[1, :, :4, 1] = np.einsum("pij,p->ipj", at, _SYMBOL)
-    table[0, :, 4, 1] = 1j * np.eye(4)
-    table[1, :, 4, 0] = -1j * np.eye(4)
-    return table.reshape(8, 40)
-
-
 def _check_solutions(solutions, fd: FieldData) -> np.ndarray:
-    """Momentum symbols of the modes, (N, 4); NotASolution names the first
-    mode whose quaternion equations miss zero by more than 1e-8."""
-    coeffs = np.array(
-        [(mode.energy, *mode.momentum.tolist(), fd.mass) for _, mode in solutions]
-    )
-    phi = np.array([pair.phi1.components + pair.phi2.components for pair, _ in solutions])
-    products = (coeffs[:, :, None] * phi[:, None, :]).reshape(len(solutions), 40)
-    residuals = np.einsum("ik,ak->ai", _equation_table(), products)
+    """Momentum symbols P of the modes, (N, 4); NotASolution names the first
+    mode whose equations P^c phi1 - phi2 m and P phi2 + phi1 m^c, those of
+    ``pair_residual`` at zero potential, miss zero by more than 1e-8."""
+    n = len(solutions)
+    syms = np.array([(mode.energy, *mode.momentum.tolist()) for _, mode in solutions])
+    syms = syms * _SYMBOL
+    phi = np.array(
+        [pair.phi1.components + pair.phi2.components for pair, _ in solutions]
+    ).reshape(n, 2, 4)
+    # P^c and P act on phi1 and phi2; the mass m is a scalar, so m^c = m
+    eqs = _left_matrix(np.stack((syms * _QCONJ, syms), axis=1))
+    residuals = np.einsum("asij,asj->asi", eqs, phi)
+    residuals += phi[:, ::-1] * (fd.euclidean_mass * _MASS_SIGNS)
     # NaN fails too
-    if not np.max(np.abs(residuals)) <= _SOLUTION_TOL:
-        ok = np.abs(residuals).max(axis=1) <= _SOLUTION_TOL
+    ok = np.abs(residuals).reshape(n, 8).max(axis=1) <= _SOLUTION_TOL
+    if not ok.all():
         _, mode = solutions[int(np.argmin(ok))]
         raise NotASolution("mode with energy %g fails its residual" % mode.energy)
-    return coeffs[:, :4] * _SYMBOL
+    return syms
 
 
 def current_divergence(
@@ -303,8 +286,7 @@ class RadiationMode:
         _check_finite(omega=self.omega, wavevector=self.wavevector)
 
     def symbol(self) -> Quat:
-        k = self.wavevector
-        return Quat(self.omega, 1j * k[0], 1j * k[1], 1j * k[2])
+        return _symbol(self.omega, self.wavevector)
 
     def wave_operator(self) -> complex:
         return complex(self.omega**2 - float(self.wavevector @ self.wavevector))

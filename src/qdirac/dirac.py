@@ -199,14 +199,23 @@ def pair_to_spinor(pair: BispinorPair) -> np.ndarray:
     return np.concatenate([psi1, psi2])
 
 
+# P = (E, i p1, i p2, i p3) from (E, p1, p2, p3), on stacked components
+_SYMBOL = np.array([1, 1j, 1j, 1j])
+
+
+def _symbol(energy, p) -> Quat:
+    """P = E + i*(i1 p1 + i2 p2 + i3 p3), the symbol of the derivative on
+    exp(i(p.x - E*x0))."""
+    return Quat(energy, 1j * p[0], 1j * p[1], 1j * p[2])
+
+
 def momentum_symbol(mode: PlaneWaveMode) -> tuple[Quat, Quat]:
     """Left-multiplication symbol of the derivative operator on the mode.
 
     Returns (P, P.quat_conj()); P * P.quat_conj() is the complex scalar
     E**2 - |p|**2.
     """
-    p = mode.momentum
-    sym = Quat(mode.energy, 1j * p[0], 1j * p[1], 1j * p[2])
+    sym = _symbol(mode.energy, mode.momentum)
     return sym, sym.quat_conj()
 
 
@@ -263,19 +272,22 @@ def transform_state(state: DiracState, spec: TransformSpec) -> DiracState:
     factor and n right factors.  Negative n uses the inverse rotor blocks.
     """
     r, rc = rotor_blocks(spec.rotor)
-    r_n = block_power(r, spec.n)
-    rc_n = block_power(rc, spec.n)
+    return _conjugate(state, r, rc, block_power(r, spec.n), block_power(rc, spec.n))
+
+
+def _conjugate(state: DiracState, b, bc, e, ec) -> DiracState:
+    """The block law: B X Bc for the derivative and potential blocks, B Phi Ec
+    for the spinor block and E M Ec for the mass block."""
     return DiracState(
-        d=r * state.d * rc,
-        a=r * state.a * rc,
-        phi=r * state.phi * rc_n,
-        m=r_n * state.m * rc_n,
+        d=b * state.d * bc,
+        a=b * state.a * bc,
+        phi=b * state.phi * ec,
+        m=e * state.m * ec,
     )
 
 
-# the (B, E) pairs of parity and time reversal: a state moves as B X Bc for
-# the derivative and potential blocks, B Phi Ec for the spinor block and
-# E M Ec for the mass block, where c is the quaternion conjugate
+# the (B, E) pairs of parity and time reversal, which move a state by
+# _conjugate with Bc and Ec their quaternion conjugates
 _DISCRETE_PAIRS = {
     "parity": (Reflector(1.0, 1.0), Rotator(1.0, 1.0)),
     "time_reversal": (Rotator(-1.0, 1.0), Reflector(1.0, 1.0)),
@@ -293,13 +305,7 @@ def apply_discrete(state: DiracState, kind: str) -> DiracState:
     """
     if kind in _DISCRETE_PAIRS:
         b, e = _DISCRETE_PAIRS[kind]
-        bc, ec = b.quat_conj(), e.quat_conj()
-        return DiracState(
-            d=b * state.d * bc,
-            a=b * state.a * bc,
-            phi=b * state.phi * ec,
-            m=e * state.m * ec,
-        )
+        return _conjugate(state, b, b.quat_conj(), e, e.quat_conj())
     if kind == "charge_conjugation":
         swap = Reflector(1.0, 1.0)
         d_cc = -(swap * state.d.complex_conj() * swap)
@@ -326,8 +332,7 @@ def pair_system_matrix(
     """
     _, project, _ = _lift_convention(lift)
     basis = _BASIS_PAIRS[lift]
-    p = np.asarray(p, dtype=float)
-    sym = Quat(energy, 1j * p[0], 1j * p[1], 1j * p[2])
+    sym = _symbol(energy, np.asarray(p, dtype=float))
     a = fd.euclidean_potential
     m = Quat(fd.euclidean_mass)
     coupled = sym - 1j * a

@@ -36,7 +36,6 @@ import numpy as np
 __all__ = [
     "Quat",
     "SingularQuaternion",
-    "ZERO",
     "ONE",
     "I1",
     "I2",
@@ -204,12 +203,43 @@ def _max_abs(values) -> float:
     return math.nan if any(map(math.isnan, moduli)) else max(moduli)
 
 
-ZERO = Quat()
 ONE = Quat(1.0)
 I1 = Quat(0.0, 1.0)
 I2 = Quat(0.0, 0.0, 1.0)
 I3 = Quat(0.0, 0.0, 0.0, 1.0)
 BASIS = (ONE, I1, I2, I3)
+
+
+def _mul_tables():
+    """Index and sign tables of left and right multiplication, read off
+    ``Quat.__mul__`` on the basis: e_a e_b = s e_i puts s*A[a] at entry
+    (i, b) of the matrix of q -> A q, and s*B[b] at entry (i, a) of the
+    matrix of q -> q B."""
+    idx = np.empty((2, 4, 4), dtype=np.intp)
+    sign = np.empty((2, 4, 4), dtype=np.int64)
+    for a, x in enumerate(BASIS):
+        for b, y in enumerate(BASIS):
+            c = (x * y).components
+            i = next(k for k, z in enumerate(c) if z != 0)
+            idx[0, i, b], idx[1, i, a] = a, b
+            sign[0, i, b] = sign[1, i, a] = int(c[i].real)
+    return idx, sign
+
+
+(_LEFT_IDX, _RIGHT_IDX), (_LEFT_SIGN, _RIGHT_SIGN) = _mul_tables()
+
+
+# np.take, not a[..., idx]: the fancy index lays its result out in another
+# order than C, which einsum then follows at twice the cost
+def _left_matrix(a: np.ndarray) -> np.ndarray:
+    """Matrices (..., 4, 4) of q -> A q for the components ``a`` (..., 4) of A."""
+    return np.take(a, _LEFT_IDX, axis=-1) * _LEFT_SIGN
+
+
+def _right_matrix(b: np.ndarray) -> np.ndarray:
+    """Matrices (..., 4, 4) of q -> q B for the components ``b`` (..., 4) of B."""
+    return np.take(b, _RIGHT_IDX, axis=-1) * _RIGHT_SIGN
+
 
 def dot(a: Quat, b: Quat) -> complex:
     """Component dot product, without conjugation.

@@ -27,7 +27,6 @@ __all__ = [
     "lift_L",
     "vec_to_quat",
     "quat_to_vec",
-    "ideal_project",
     "ideal_factor",
 ]
 
@@ -78,7 +77,3 @@ def ideal_factor(sign: int = 1) -> Quat:
         raise ValueError("sign must be +1 or -1")
     return Quat(1.0, 0.0, 0.0, sign * 1j)
 
-
-def ideal_project(q: Quat, sign: int = 1) -> Quat:
-    """Right-multiply by (1 + sign*i*i3), mapping into the corresponding ideal."""
-    return q * ideal_factor(sign)

@@ -22,6 +22,7 @@ from qdirac.dirac import (
     BispinorPair,
     FieldData,
     PlaneWaveMode,
+    pair_residual,
     plane_wave_modes,
     spinor_to_pair,
 )
@@ -241,3 +242,23 @@ def test_radiation_rejects_nonfinite_modes_and_non_unit_rotors():
     a = (RadiationMode(ONE, 2.0, [1.0, 0, 0]),)
     with pytest.raises(ValueError, match="unit modulus"):
         radiation_residual(a, a, Quat(2.0))
+
+
+def test_solution_check_threshold_is_the_pair_residual():
+    fd = FieldData(0.8)
+    mode = plane_wave_modes([0.3, -0.2, 0.5], fd)[3]
+    pair = spinor_to_pair(mode.amplitude)
+    # an energy shifted by d adds d*phi1 and d*phi2 to the two residuals
+    scale = max(abs(z) for z in pair.phi1.components + pair.phi2.components)
+    for factor in (1.01, 0.99):
+        shifted = PlaneWaveMode(
+            mode.energy + factor * 1e-8 / scale, mode.momentum, mode.amplitude
+        )
+        r1, r2 = pair_residual(pair, shifted, fd)
+        residual = max(r1.max_abs(), r2.max_abs())
+        assert abs(residual / 1e-8 - factor) < 1e-6
+        if residual > 1e-8:
+            with pytest.raises(NotASolution, match="fails its residual"):
+                current_divergence([(pair, shifted)], fd)
+        else:
+            assert current_divergence([(pair, shifted)], fd) < 1e-12

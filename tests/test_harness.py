@@ -77,9 +77,9 @@ def test_suite_config_validation():
     with pytest.raises(ValueError, match="seed must be an integer"):
         SuiteConfig(suite="algebra", seed=1.5)
     assert type(SuiteConfig(suite="algebra", seed=np.int64(3)).seed) is int
-    for grid_h in (0.0, -0.05, math.inf):
-        with pytest.raises(ValueError):
-            SuiteConfig(suite="conservation", grid_h=grid_h)
+    # the grid spacing of the convergence cases is fixed, not configured
+    with pytest.raises(TypeError):
+        SuiteConfig(suite="conservation", grid_h=0.05)
 
 
 def test_exponent_cases_draw_exactly_trials_instances():
@@ -138,7 +138,7 @@ def test_report_json_schema():
     assert payload["seed"] == 2
     assert payload["pass"] is True
     assert isinstance(payload["elapsed"], float)
-    assert set(payload["config"]) == {"trials", "tol", "n_set", "grid_h"}
+    assert set(payload["config"]) == {"trials", "tol", "n_set"}
     assert payload["config"]["trials"] == 10
     for case, registered in zip(payload["cases"], hz.SUITES["maps"]):
         assert set(case) == {"name", "max_residual", "pass", "tol", "kind", "elapsed"}
@@ -340,6 +340,13 @@ def test_cli_nonfinite_tol_exit_code():
     result = _run_cli("verify", "conservation", "--trials", "1", "--tol", "inf")
     assert result.returncode == 2
     assert "tol must be positive and finite" in result.stderr
+
+
+def test_cli_has_no_grid_spacing_option(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "conservation", "--trials", "1", "--grid-h", "0.05"])
+    assert exit_info.value.code == 2
+    assert "--grid-h" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["invariance", "current"])

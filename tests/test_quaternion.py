@@ -17,6 +17,7 @@ from qdirac.quaternion import (
     from_matrix,
     to_matrix,
 )
+from qdirac.quaternion import _left_matrix, _right_matrix
 from qdirac.spinor_maps import lift_G
 
 
@@ -172,3 +173,23 @@ def test_scalar_arithmetic():
 
 def test_basis_tuple():
     assert BASIS == (ONE, I1, I2, I3)
+
+
+def test_multiplication_matrices_match_the_product():
+    rng = np.random.default_rng(21)
+    re, im = rng.uniform(-1, 1, (2, 3, 200, 4))
+    a, b, q = re + 1j * im
+    left = (_left_matrix(a) @ q[..., None])[..., 0]
+    right = (_right_matrix(b) @ q[..., None])[..., 0]
+    for k in range(len(q)):
+        x, y, u = Quat(*a[k]), Quat(*b[k]), Quat(*q[k])
+        assert np.max(np.abs(left[k] - (x * u).components)) < 1e-14
+        assert np.max(np.abs(right[k] - (u * y).components)) < 1e-14
+        by_matrix = from_matrix(to_matrix(x) @ to_matrix(u))
+        assert np.max(np.abs(left[k] - by_matrix.components)) < 1e-14
+        by_matrix = from_matrix(to_matrix(u) @ to_matrix(y))
+        assert np.max(np.abs(right[k] - by_matrix.components)) < 1e-14
+    # leading axes are batch axes
+    stacked = a.reshape(10, 20, 4)
+    assert _left_matrix(stacked).shape == (10, 20, 4, 4)
+    assert np.array_equal(_right_matrix(stacked).reshape(200, 4, 4), _right_matrix(a))

@@ -5,7 +5,6 @@ from qdirac.quaternion import BASIS, I2, I3, ONE, Quat, dot, to_matrix
 from qdirac.spinor_maps import (
     SIGMA,
     ideal_factor,
-    ideal_project,
     lift_G,
     lift_L,
     map_F,
@@ -45,7 +44,7 @@ def test_map_F_scalar_shift():
     for _ in range(200):
         q = rand_quat(rng)
         assert np.max(np.abs(map_F(q * (-I3)) - 1j * map_F(q))) < 1e-13
-        assert np.max(np.abs(map_F(ideal_project(q)) - 2 * map_F(q))) < 1e-13
+        assert np.max(np.abs(map_F(q * ideal_factor()) - 2 * map_F(q))) < 1e-13
 
 
 def test_lift_G_examples():
@@ -109,8 +108,9 @@ def test_bijection_examples_and_roundtrip():
     assert np.max(np.abs(quat_to_vec(vec_to_quat(v)) - v)) == 0.0
 
 
-def test_ideal_projection():
-    assert (ideal_project(ONE) - Quat(1, 0, 0, 1j)).max_abs() == 0.0
+def test_ideal_factor():
+    assert (ideal_factor() - Quat(1, 0, 0, 1j)).max_abs() == 0.0
+    assert (ideal_factor(-1) - Quat(1, 0, 0, -1j)).max_abs() == 0.0
     half = ideal_factor(1) * 0.5
     assert (half * half - half).max_abs() < 1e-16
     with pytest.raises(ValueError):
