@@ -67,11 +67,11 @@ BETA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
 
 def _check_finite(**fields) -> None:
-    """ValueError naming the first field, a scalar or a 1-d array, with an
-    inf or NaN entry."""
+    """ValueError naming the first field, a scalar or an array, with an inf
+    or NaN entry."""
     # a loop over a few Python scalars is cheaper than a ufunc and a reduction
     for name, value in fields.items():
-        entries = value.tolist() if isinstance(value, np.ndarray) else (value,)
+        entries = value.ravel().tolist() if isinstance(value, np.ndarray) else (value,)
         if not all(map(cmath.isfinite, entries)):
             raise ValueError("%s must be finite, got %r" % (name, value))
 

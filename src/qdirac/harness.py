@@ -33,6 +33,7 @@ spacetime grid for the derivative symbol and for current conservation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -133,7 +134,9 @@ class VerificationReport:
 class Grid4:
     """Uniformly spaced quaternion samples on a centered spacetime box.
 
-    Grids fed to the difference operators need at least 5 points per axis;
+    ``values`` has shape (n0, n1, n2, n3, 4) in any layout; the grid functions
+    store it component-major, so each ``values[..., k]`` is contiguous.  Grids
+    fed to the difference operators need at least 5 points per axis;
     derivative grids (one point shorter on each side) may be smaller.
     """
 
@@ -156,21 +159,31 @@ def grid_axes(shape, spacing: float) -> list[np.ndarray]:
     return [(np.arange(n) - (n - 1) / 2.0) * spacing for n in shape]
 
 
+def _plane_wave(energy, momentum, shape, spacing) -> np.ndarray:
+    """exp(i(p.x - E*x0)) on a centered grid, as the outer product of one
+    exponential per axis: 4n ``exp`` calls and no n**4 phase array."""
+    axes = grid_axes(shape, spacing)
+    waves = [np.exp(1j * (k * x)) for k, x in zip((-energy, *momentum), axes)]
+    return functools.reduce(np.multiply.outer, waves)
+
+
 def sample_quat_mode(
     amplitude: Quat, energy: float, momentum, shape=(5, 5, 5, 5), spacing: float = 0.05
 ) -> Grid4:
-    """Sample amplitude * exp(i(p.x - E*x0)) on a centered grid."""
+    """Sample amplitude * exp(i(p.x - E*x0)) on a centered grid.
+
+    The values have shape (n0, n1, n2, n3, 4), stored component-major; the
+    grid functions accept any layout.  A non-finite ``energy`` or
+    ``momentum``, or a ``momentum`` that is not a 3-vector, raises
+    ``ValueError`` naming the field.
+    """
     momentum = np.asarray(momentum, dtype=float)
-    axes = grid_axes(shape, spacing)
-    phase = (
-        -energy * axes[0][:, None, None, None]
-        + momentum[0] * axes[1][None, :, None, None]
-        + momentum[1] * axes[2][None, None, :, None]
-        + momentum[2] * axes[3][None, None, None, :]
-    )
-    wave = np.exp(1j * phase)
+    if momentum.shape != (3,):
+        raise ValueError("momentum must be a 3-vector, got %r" % (momentum,))
+    dr._check_finite(energy=energy, momentum=momentum)
+    wave = _plane_wave(energy, momentum, shape, spacing)
     comps = np.array(amplitude.components)
-    return Grid4(spacing, wave[..., None] * comps)
+    return Grid4(spacing, np.moveaxis(comps[:, None, None, None, None] * wave, 0, -1))
 
 
 def _central_diff(
@@ -180,8 +193,6 @@ def _central_diff(
     lo = [slice(1, -1)] * 4
     hi[axis] = slice(2, None)
     lo[axis] = slice(None, -2)
-    hi.append(slice(None))
-    lo.append(slice(None))
     out = np.subtract(values[tuple(hi)], values[tuple(lo)], out=out)
     out /= 2.0 * spacing
     return out
@@ -200,22 +211,26 @@ def fd_apply_D(grid: Grid4, conjugate: bool = False) -> Grid4:
 
     The temporal component enters as i * d/dx0; spatial derivatives are
     left-multiplied by their basis quaternion, and subtracted instead of
-    added for the conjugated derivative (``conjugate=True``).  The returned
-    grid shrinks by one point on each side.  Each spatial difference goes
-    into one reused buffer and its signed components straight into the
-    output, so a call allocates two interior-size arrays and no more.
+    added for the conjugated derivative (``conjugate=True``).  The input
+    values, of shape (n0, n1, n2, n3, 4), may have any layout; the returned
+    grid shrinks by one point on each side and is stored component-major.
+    Each output component is built in turn, each spatial difference of one
+    source component going into one reused buffer, so a call allocates the
+    output plus one component buffer and no more.
     """
     values = grid.values
     if min(values.shape[:4]) < 5:
         raise GridTooSmall("need at least 5 points per axis")
-    out = 1j * _central_diff(values, 0, grid.spacing)
-    diff = np.empty(out.shape, dtype=values.dtype)
-    for r in (1, 2, 3):
-        _central_diff(values, r, grid.spacing, out=diff)
-        for k, (j, sign) in enumerate(_BASIS_LEFT_MUL[r]):
+    comps = np.moveaxis(values, -1, 0)
+    out = np.empty((4,) + tuple(n - 2 for n in values.shape[:4]), dtype=values.dtype)
+    diff = np.empty(out.shape[1:], dtype=values.dtype)
+    for k, out_k in enumerate(out):
+        np.multiply(1j, _central_diff(comps[k], 0, grid.spacing, out=out_k), out=out_k)
+        for r in (1, 2, 3):
+            j, sign = _BASIS_LEFT_MUL[r][k]
             combine = np.add if (sign > 0) != conjugate else np.subtract
-            combine(out[..., k], diff[..., j], out=out[..., k])
-    return Grid4(grid.spacing, out)
+            combine(out_k, _central_diff(comps[j], r, grid.spacing, out=diff), out=out_k)
+    return Grid4(grid.spacing, np.moveaxis(out, 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -1007,11 +1022,6 @@ def _case_off_shell_guard(rng, cfg):
 
 
 def _current_component_grids(solutions, shape, spacing):
-    axes = grid_axes(shape, spacing)
-    x0 = axes[0][:, None, None, None]
-    x1 = axes[1][None, :, None, None]
-    x2 = axes[2][None, None, :, None]
-    x3 = axes[3][None, None, None, :]
     fields = [np.zeros(shape, dtype=complex) for _ in range(4)]
     for pair_a, mode_a in solutions:
         for pair_b, mode_b in solutions:
@@ -1020,16 +1030,16 @@ def _current_component_grids(solutions, shape, spacing):
             # of the energies and momenta
             de = mode_b.energy - mode_a.energy
             dp = mode_b.momentum - mode_a.momentum
-            wave = np.exp(1j * (dp[0] * x1 + dp[1] * x2 + dp[2] * x3 - de * x0))
+            wave = _plane_wave(de, dp, shape, spacing)
             for mu in range(4):
                 fields[mu] += comps[mu] * wave
     return fields
 
 
 def _fd_divergence_max(fields, spacing):
-    div = 1j * _central_diff(fields[0][..., None], 0, spacing)[..., 0]
+    div = 1j * _central_diff(fields[0], 0, spacing)
     for r in (1, 2, 3):
-        div = div + _central_diff(fields[r][..., None], r, spacing)[..., 0]
+        div = div + _central_diff(fields[r], r, spacing)
     return float(np.max(np.abs(div)))
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,87 @@ def test_fd_grid_guards():
             Grid4(spacing, np.zeros((5, 5, 5, 5, 4)))
     with pytest.raises(ValueError):
         Grid4(0.1, np.zeros((5, 5, 5, 4)))
+
+
+def _fd_apply_D_point_major(grid, conjugate=False):
+    """Reference: ``fd_apply_D`` on the point-major layout, where each
+    difference takes all four components and each output component is
+    updated through a strided slice."""
+
+    def central_diff(values, axis, out=None):
+        hi = [slice(1, -1)] * 4 + [slice(None)]
+        lo = [slice(1, -1)] * 4 + [slice(None)]
+        hi[axis] = slice(2, None)
+        lo[axis] = slice(None, -2)
+        out = np.subtract(values[tuple(hi)], values[tuple(lo)], out=out)
+        out /= 2.0 * grid.spacing
+        return out
+
+    values = grid.values
+    out = 1j * central_diff(values, 0)
+    diff = np.empty(out.shape, dtype=values.dtype)
+    for r in (1, 2, 3):
+        central_diff(values, r, out=diff)
+        for k, (j, sign) in enumerate(hz._BASIS_LEFT_MUL[r]):
+            combine = np.add if (sign > 0) != conjugate else np.subtract
+            combine(out[..., k], diff[..., j], out=out[..., k])
+    return out
+
+
+_AMPLITUDE = Quat(0.3 + 0.1j, -1.2, 0.5j, 2.0 - 0.7j)
+_ENERGY, _MOMENTUM, _SPACING = 1.7, np.array([0.9, -2.6, 0.4]), 0.05
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_fd_apply_D_is_bitwise_the_point_major_reference(conjugate):
+    rng = np.random.default_rng(11)
+    shape = (5, 6, 7, 8, 4)
+    c_order = Grid4(0.1, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    sampled = hz.sample_quat_mode(_AMPLITUDE, _ENERGY, _MOMENTUM, (11,) * 4, _SPACING)
+    for grid in (c_order, sampled):
+        expected = _fd_apply_D_point_major(grid, conjugate)
+        assert fd_apply_D(grid, conjugate).values.tobytes() == expected.tobytes()
+    # the chain of the d'Alembertian case takes a component-major derivative grid
+    once = Grid4(_SPACING, _fd_apply_D_point_major(sampled, conjugate=True))
+    expected = _fd_apply_D_point_major(once, conjugate)
+    chained = fd_apply_D(fd_apply_D(sampled, conjugate=True), conjugate)
+    assert chained.values.tobytes() == expected.tobytes()
+
+
+def test_grids_are_component_major_accurate_and_small():
+    shape = (9, 10, 11, 12)
+    grid = hz.sample_quat_mode(_AMPLITUDE, _ENERGY, _MOMENTUM, shape, _SPACING)
+    for values in (grid.values, fd_apply_D(grid).values):
+        assert np.moveaxis(values, -1, 0).flags.c_contiguous
+    x = np.meshgrid(*hz.grid_axes(shape, _SPACING), indexing="ij")
+    phase = -_ENERGY * x[0] + sum(p * xr for p, xr in zip(_MOMENTUM, x[1:]))
+    direct = np.exp(1j * phase)[..., None] * np.array(_AMPLITUDE.components)
+    amp = max(abs(c) for c in _AMPLITUDE.components)
+    assert np.max(np.abs(grid.values - direct)) <= 1e-14 * amp
+    # the output plus one component buffer, and no other grid-size array
+    grid = hz.sample_quat_mode(_AMPLITUDE, _ENERGY, _MOMENTUM, (25,) * 4, _SPACING)
+    tracemalloc.start()
+    try:
+        out = fd_apply_D(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * out.values.nbytes
+
+
+@pytest.mark.parametrize(
+    "field, energy, momentum",
+    [
+        ("energy", math.nan, [0.1, 0.2, 0.3]),
+        ("energy", math.inf, [0.1, 0.2, 0.3]),
+        ("energy", np.array(math.nan), [0.1, 0.2, 0.3]),
+        ("momentum", 1.0, [0.1, -math.inf, 0.3]),
+        ("momentum", 1.0, [0.1, 0.2]),
+    ],
+)
+def test_sample_quat_mode_rejects_bad_input(field, energy, momentum):
+    with pytest.raises(ValueError, match="^%s must be" % field):
+        hz.sample_quat_mode(_AMPLITUDE, energy, momentum)
 
 
 def test_unknown_suite():
