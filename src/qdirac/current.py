@@ -20,8 +20,10 @@ tables.  For reflectors L and Phi, temporal(trace(L Phi))
 so the last product, its trace and its temporal part are one contraction.
 ``current_divergence`` checks the equations of ``pair_residual`` for all
 modes at once, through the left-multiplication matrices of their momentum
-symbols, and contracts the factors a chunk of rows at a time, with at
-most 64 KB of currents in a chunk.
+symbols.  The weight P_b - P_a of the pair (a, b) folds into the factors,
+P_b into the right one and P_a into a summed left one, so the divergence
+coefficients of a chunk of rows are two matrix products, with at most
+64 KB of coefficients in a chunk.
 
 Conservation is evaluated exactly at the symbol level: for a
 superposition of zero-potential solution modes with a common scalar mass,
@@ -120,9 +122,10 @@ _K_BLOCKS = Reflector(Quat(_K_COEFF), Quat(_K_COEFF).quat_conj())
 
 # the component signs of the quaternion conjugate
 _QCONJ = np.array([1, -1, -1, -1])
-# the signs of the mass terms -phi2 m and phi1 m^c of the two equations
-_MASS_SIGNS = np.array([[-1], [1]])
-# row chunks of current_divergence hold at most this many bytes of currents
+# the signs of the mass terms phi1 m^c and -phi2 m of the two equations
+_MASS_SIGNS = np.array([[1], [-1]])
+# row chunks of current_divergence hold at most this many bytes of
+# divergence coefficients
 _CHUNK_BYTES = 1 << 16
 
 
@@ -166,51 +169,75 @@ def _plain_maps():
     return _factor_maps(None)
 
 
-def _current_factors(pairs: list[BispinorPair], spec: TransformSpec | None = None):
+def _stack_phi(pairs) -> np.ndarray:
+    """Components of phi2 then phi1 of each pair, (N, 2, 4): side 0 and
+    side 1 of ``_factor_maps``."""
+    phi = [pair.phi2.components + pair.phi1.components for pair in pairs]
+    return np.array(phi, dtype=complex).reshape(len(phi), 2, 4)
+
+
+def _current_factors(phi: np.ndarray, spec: TransformSpec | None = None):
     """Components of K PhiS_a I_mu (``left[a, mu]``, upper then lower block)
     and of Phi_b.lower.quat_conj() then Phi_b.upper.quat_conj() (``right[b]``),
-    so ``left[a] @ right[b]`` is the current bilinear of pairs a and b.  A spec
-    applies the laws r Phi rc_n, r_n PhiS rc, r_n K rc_n and r I_mu rc.
+    so ``left[a] @ right[b]`` is the current bilinear of pairs a and b, given
+    their ``_stack_phi`` components.  A spec applies the laws r Phi rc_n,
+    r_n PhiS rc, r_n K rc_n and r I_mu rc.
 
     The fixed blocks fold into the maps of ``_factor_maps``, so all modes
     take one contraction per factor."""
     left_maps, right_maps = _plain_maps() if spec is None else _factor_maps(spec)
-    phi = np.array(
-        [pair.phi2.components + pair.phi1.components for pair in pairs],
-        dtype=complex,
-    ).reshape(len(pairs), 2, 4)
     left = np.einsum("msij,asj->amsi", left_maps, phi.conj())
     right = np.einsum("sij,asj->asi", right_maps, phi)
-    return left.reshape(len(pairs), 4, 8), right.reshape(len(pairs), 8)
+    return left.reshape(len(phi), 4, 8), right.reshape(len(phi), 8)
 
 
 def block_current(pair: BispinorPair) -> np.ndarray:
     """Current components as temporal trace of K PhiS I_mu Phi, one
     contraction of the pair's factors with themselves."""
-    left, right = _current_factors([pair])
+    left, right = _current_factors(_stack_phi([pair]))
     return left[0] @ right[0]
 
 
-def _check_solutions(solutions, fd: FieldData) -> np.ndarray:
-    """Momentum symbols P of the modes, (N, 4); NotASolution names the first
-    mode whose equations P^c phi1 - phi2 m and P phi2 + phi1 m^c, those of
-    ``pair_residual`` at zero potential, miss zero by more than 1e-8."""
-    n = len(solutions)
+def _check_solutions(solutions, fd: FieldData):
+    """Momentum symbols P of the modes, (N, 4), and their ``_stack_phi``
+    components; NotASolution names the first mode whose equations
+    P phi2 + phi1 m^c and P^c phi1 - phi2 m, those of ``pair_residual`` at
+    zero potential, miss zero by more than 1e-8."""
     syms = np.array([(mode.energy, *mode.momentum.tolist()) for _, mode in solutions])
     syms = syms * _SYMBOL
-    phi = np.array(
-        [pair.phi1.components + pair.phi2.components for pair, _ in solutions]
-    ).reshape(n, 2, 4)
-    # P^c and P act on phi1 and phi2; the mass m is a scalar, so m^c = m
-    eqs = _left_matrix(np.stack((syms * _QCONJ, syms), axis=1))
+    phi = _stack_phi(pair for pair, _ in solutions)
+    # P and P^c act on phi2 and phi1; the mass m is a scalar, so m^c = m
+    eqs = _left_matrix(np.stack((syms, syms * _QCONJ), axis=1))
     residuals = np.einsum("asij,asj->asi", eqs, phi)
     residuals += phi[:, ::-1] * (fd.euclidean_mass * _MASS_SIGNS)
     # NaN fails too
-    ok = np.abs(residuals).reshape(n, 8).max(axis=1) <= _SOLUTION_TOL
+    ok = np.abs(residuals).reshape(len(phi), 8).max(axis=1) <= _SOLUTION_TOL
     if not ok.all():
         _, mode = solutions[int(np.argmin(ok))]
         raise NotASolution("mode with energy %g fails its residual" % mode.energy)
-    return syms
+    return syms, phi
+
+
+def _max_divergence(left: np.ndarray, right: np.ndarray, syms: np.ndarray) -> float:
+    """Largest |sum_mu left[a, mu] @ right[b] (P_b - P_a)_mu| over all a, b,
+    with P = ``syms``; NaN when any entry of the inputs is NaN.
+
+    The weight splits as left[a] @ (P_b outer right[b]) minus
+    (sum_mu P_a,mu left[a, mu]) @ right[b], two matrix products per chunk
+    of rows."""
+    n = len(syms)
+    weighted = (syms[:, :, None] * right[:, None, :]).reshape(n, 32)
+    folded = np.einsum("am,amk->ak", syms, left)
+    left = left.reshape(n, 32)
+    rows = max(1, _CHUNK_BYTES // (n * 16))
+    worst = []
+    for a in range(0, n, rows):
+        # the first zgemm of a process raises its peak RSS once, by
+        # 0.4-0.6 MB in a bare process
+        div = left[a : a + rows] @ weighted.T
+        div -= folded[a : a + rows] @ right.T
+        worst.append(np.max(np.abs(div)))
+    return float(np.max(worst))  # keeps a NaN, which max() may drop
 
 
 def current_divergence(
@@ -223,26 +250,18 @@ def current_divergence(
     Every mode must solve the zero-potential equation to 1e-8; a
     transform spec, when given, transforms the spinor, dagger-spinor,
     coefficient and basis blocks by their respective laws while the phase
-    factors (and hence the difference symbols) stay put.  The once-built
-    factors are contracted a chunk of rows at a time: row ``a`` with all
-    modes b, weighted by P_b - P_a.
+    factors (and hence the difference symbols) stay put.  The weight
+    P_b - P_a of the pair (a, b) is folded into the once-built factors,
+    and the coefficients of a chunk of rows ``a`` with all modes b are two
+    matrix products.
     """
     if not solutions:
         raise ValueError("the conservation check needs at least one mode")
     if np.any(fd.potential != 0.0):
         raise ValueError("the conservation identity assumes zero potential")
-    syms = _check_solutions(solutions, fd)
-    left, right = _current_factors([pair for pair, _ in solutions], spec)
-    n = len(solutions)
-    rows = max(1, _CHUNK_BYTES // (4 * n * 16))
-    worst = []
-    for a in range(0, n, rows):
-        # einsum, not @: a first BLAS call costs about 0.2 MB of peak RSS
-        currents = np.einsum("amk,bk->amb", left[a : a + rows], right)
-        # weighted in place, so a chunk holds two arrays of its size, not three
-        currents *= syms.T - syms[a : a + rows, :, None]
-        worst.append(np.max(np.abs(currents.sum(axis=1))))
-    return float(np.max(worst))  # keeps a NaN, which max() may drop
+    syms, phi = _check_solutions(solutions, fd)
+    left, right = _current_factors(phi, spec)
+    return _max_divergence(left, right, syms)
 
 
 @dataclass(frozen=True)
@@ -260,7 +279,7 @@ def current_covariance(pair: BispinorPair, spec: TransformSpec) -> CovarianceRep
     a Euclidean four-vector by similarity of its reflector.
     """
     j = pair_current(pair)
-    left, right = _current_factors([pair], spec)
+    left, right = _current_factors(_stack_phi([pair]), spec)
     worst = float(np.max(np.abs(left[0] @ right[0] - j)))
     r, rc = rotor_blocks(spec.rotor)
     j_quat = Quat(*j)

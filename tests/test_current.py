@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qdirac.blocks import Reflector, Rotator, block_power
-from qdirac.current import _K_BLOCKS, _current_factors
+from qdirac import current
+from qdirac.current import _K_BLOCKS, _current_factors, _max_divergence, _stack_phi
 from qdirac.current import (
     LightlikeMode,
     NotASolution,
@@ -123,7 +124,7 @@ def test_block_factor_cross_terms():
 
 
 def check_cross_terms(pairs, spec):
-    left, right = _current_factors(pairs, spec)
+    left, right = _current_factors(_stack_phi(pairs), spec)
     k, i_blocks = _K_BLOCKS, I_BLOCKS
     phis = [phi_blocks(p) for p in pairs]
     phis_s = [phi_s_blocks(p) for p in pairs]
@@ -155,6 +156,37 @@ def test_divergence_single_and_two_modes():
     modes = plane_wave_modes(np.array([0.4, -0.2, 0.9]), fd)
     single = [(spinor_to_pair(modes[3].amplitude), modes[3])]
     assert current_divergence(single, fd) < 1e-14
+    other = plane_wave_modes(np.array([-0.7, 0.3, 0.1]), fd)[1]
+    two = single + [(spinor_to_pair(other.amplitude), other)]
+    assert current_divergence(two, fd) < 1e-13
+
+
+def crand(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("n", [1, 37])
+def test_divergence_contraction_matches_direct_einsum(n, monkeypatch):
+    # random factors, on which a wrong sign or a transposed weight cannot
+    # hide below rounding as it can on true solutions; 37 rows at 5 a chunk
+    # end on a ragged chunk of 2
+    monkeypatch.setattr(current, "_CHUNK_BYTES", 5 * 37 * 16)
+    rng = np.random.default_rng(31)
+    for row in sorted({0, n // 2, n - 1}):
+        left, right, syms = crand(rng, (n, 4, 8)), crand(rng, (n, 8)), crand(rng, (n, 4))
+        # put the largest coefficient in this row's chunk
+        left[row] *= 10
+        direct = np.einsum("amk,bk,abm->ab", left, right, syms[None] - syms[:, None])
+        # relative to the terms' size: at N = 1 the divergence is exactly 0
+        sizes = np.abs(syms)[None] + np.abs(syms)[:, None]
+        scale = np.max(np.einsum("amk,bk,abm->ab", abs(left), abs(right), sizes))
+        got = _max_divergence(left, right, syms)
+        assert abs(got - np.max(np.abs(direct))) <= 1e-12 * scale
+        for k in range(3):
+            args = [left, right, syms]
+            args[k] = args[k].copy()
+            args[k].flat[args[k].size // 2] = math.nan
+            assert math.isnan(_max_divergence(*args))
 
 
 def test_divergence_guards():
