@@ -17,12 +17,12 @@ from qdirac import (
     TransformSpec,
     block_current,
     current_divergence,
-    euclidean_current,
     pair_current,
     plane_wave_modes,
     radiation_residual,
     rotor_boost,
     solve_potential,
+    spinor_current,
     spinor_to_pair,
 )
 from qdirac.quaternion import Quat
@@ -33,7 +33,9 @@ pair = spinor_to_pair(psi)
 from_blocks = block_current(pair)
 
 print("current of a random amplitude, three pipelines:")
-print("  column bilinears (Euclidean):", np.round(euclidean_current(psi), 6))
+# the temporal component divided by i gives Euclidean components
+euclidean = spinor_current(psi) / [1j, 1, 1, 1]
+print("  column bilinears (Euclidean):", np.round(euclidean, 6))
 print("  quaternion temporal parts:   ", np.round(pair_current(pair), 6))
 print("  block-trace route:           ", np.round(from_blocks, 6))
 

@@ -8,7 +8,7 @@ The library is organised bottom-up:
 * ``blocks``       reflector and rotator block matrices,
 * ``transforms``   rotors, their laws and the multiplication patterns,
 * ``dirac``        plane-wave modes and the quaternion equation pipeline,
-* ``current``      the conserved current, its covariance and radiation,
+* ``current``      the conserved current, its conservation and radiation,
 * ``harness``      seeded verification suites and the grid oracle.
 
 The ``qdirac`` console script runs the suites; see ``qdirac list-suites``.

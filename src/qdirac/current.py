@@ -1,12 +1,13 @@
-"""The conserved Dirac current in its three equivalent forms, its
-covariance, symbolic conservation, and the radiation equation.
+"""The conserved Dirac current in its three equivalent forms, symbolic
+conservation, and the radiation equation.
 
 The current of a 4-column amplitude is the familiar bilinear
 (psi^H psi, psi^H alpha_r psi).  After translation, the same four scalars
 (temporal one divided by i) arise from the quaternion bispinors as
 temporal parts, and once more as the temporal part of the trace of the
-rotator K PhiS I_mu Phi built from reflector factors.  All three
-pipelines are kept separate so they can check each other.
+rotator K PhiS I_mu Phi built from reflector factors, with or without a
+transform of every factor by its law.  All three pipelines are kept
+separate so they can check each other; the harness compares them.
 
 The block-trace factors K PhiS_a I_mu and Phi_b of all modes come from
 ``_current_factors`` at once.  The fixed blocks, K, I_mu and a transform's
@@ -54,13 +55,10 @@ __all__ = [
     "NotASolution",
     "LightlikeMode",
     "RadiationMode",
-    "CovarianceReport",
     "spinor_current",
-    "euclidean_current",
     "pair_current",
     "block_current",
     "current_divergence",
-    "current_covariance",
     "solve_potential",
     "radiation_residual",
 ]
@@ -108,12 +106,6 @@ def pair_current(pair: BispinorPair, other: BispinorPair | None = None) -> np.nd
         term = h1 * basis.quat_conj() * other.phi1 + h2 * basis * other.phi2
         out[mu] = (_K_COEFF * term).temporal
     return out
-
-
-def euclidean_current(psi) -> np.ndarray:
-    """``spinor_current`` in Euclidean components: the temporal one divided by i."""
-    j = spinor_current(psi)
-    return np.array([j[0] / 1j, j[1], j[2], j[3]], dtype=complex)
 
 
 # the coefficient block K of the block-trace form
@@ -191,10 +183,13 @@ def _current_factors(phi: np.ndarray, spec: TransformSpec | None = None):
     return left.reshape(len(phi), 4, 8), right.reshape(len(phi), 8)
 
 
-def block_current(pair: BispinorPair) -> np.ndarray:
+def block_current(
+    pair: BispinorPair, spec: TransformSpec | None = None
+) -> np.ndarray:
     """Current components as temporal trace of K PhiS I_mu Phi, one
-    contraction of the pair's factors with themselves."""
-    left, right = _current_factors(_stack_phi([pair]))
+    contraction of the pair's factors with themselves.  A spec transforms
+    every factor by its law; the four scalars do not change."""
+    left, right = _current_factors(_stack_phi([pair]), spec)
     return left[0] @ right[0]
 
 
@@ -262,30 +257,6 @@ def current_divergence(
     syms, phi = _check_solutions(solutions, fd)
     left, right = _current_factors(phi, spec)
     return _max_divergence(left, right, syms)
-
-
-@dataclass(frozen=True)
-class CovarianceReport:
-    scalar_residual: float
-    j_before: Quat
-    j_after: Quat
-
-
-def current_covariance(pair: BispinorPair, spec: TransformSpec) -> CovarianceReport:
-    """Check the two covariance statements for one bispinor pair.
-
-    The four current scalars are invariant when every block factor
-    transforms by its law; the assembled current quaternion transforms as
-    a Euclidean four-vector by similarity of its reflector.
-    """
-    j = pair_current(pair)
-    left, right = _current_factors(_stack_phi([pair]), spec)
-    worst = float(np.max(np.abs(left[0] @ right[0] - j)))
-    r, rc = rotor_blocks(spec.rotor)
-    j_quat = Quat(*j)
-    j_blocks = Reflector(j_quat, j_quat.quat_conj())
-    j_after = (r * j_blocks * rc).upper
-    return CovarianceReport(worst, j_quat, j_after)
 
 
 @dataclass(frozen=True)

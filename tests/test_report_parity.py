@@ -37,3 +37,12 @@ def test_verdicts_reject_a_changed_pass_or_a_missing_line():
     assert mismatched == [parent[0], flipped[0]]
     mismatched, _ = report_parity.verdict_lines(parent, parent[:1])
     assert mismatched == ["2 report lines against 1"]
+
+
+def test_a_checkout_that_cannot_import_exits_2_with_one_line(tmp_path, capsys):
+    # 1 would read as "the reports differ"
+    assert report_parity.main([str(tmp_path), str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert str(tmp_path) in err and "child exited with status 1" in err

@@ -8,7 +8,9 @@ child process that imports ``qdirac`` from the checkout's ``src/``.  The
 ``elapsed`` fields, top-level and per case, are dropped, and each report
 becomes one line per case and one line for the rest.  The lines that differ
 are printed as a unified diff, PARENT first.  Exits 0 when the reports are
-identical and 1 when they are not.
+identical and 1 when they are not.  Exits 2, with one line on stderr, when
+a checkout's child process cannot start or fails, for example when it
+cannot import ``qdirac``.
 
 With ``--verdicts`` the reports must agree in everything but the cases'
 ``max_residual``: the same lines in the same order, each case with the same
@@ -58,14 +60,27 @@ for seed in seeds:
 """
 
 
+class CheckoutFailed(Exception):
+    """A checkout's child process did not run to the end."""
+
+
 def report_lines(checkout: pathlib.Path) -> list[str]:
     """The report lines of every suite, seed and trial count of ``checkout``."""
     src = checkout / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(src), json.dumps([SEEDS, TRIALS])],
-        cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=True,
-    )
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", _CHILD, str(src), json.dumps([SEEDS, TRIALS])],
+            cwd=checkout, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+    except OSError as exc:  # a missing checkout: the child never started
+        raise CheckoutFailed("%s: %s" % (checkout, exc.strerror)) from exc
+    if done.returncode != 0:
+        last = (done.stderr.strip().splitlines() or ["no output"])[-1]
+        raise CheckoutFailed(
+            "%s: child exited with status %d: %s" % (checkout, done.returncode, last)
+        )
     return done.stdout.splitlines()
 
 
@@ -102,18 +117,20 @@ def main(argv=None) -> int:
         print("usage: report_parity.py [--verdicts] PARENT CHANGE", file=sys.stderr)
         return 2
     parent, change = (pathlib.Path(a).resolve() for a in paths)
+    try:
+        lines = report_lines(parent), report_lines(change)
+    except CheckoutFailed as exc:
+        print("report_parity.py: %s" % exc, file=sys.stderr)
+        return 2
     if verdicts:
-        mismatched, shifts = verdict_lines(report_lines(parent), report_lines(change))
+        mismatched, shifts = verdict_lines(*lines)
         for line in mismatched:
             print(line)
         for name, shift in sorted(shifts.items()):
             print("%-48s %.3e" % (name, shift))
         return 1 if mismatched else 0
     diff = list(
-        difflib.unified_diff(
-            report_lines(parent), report_lines(change),
-            str(parent), str(change), n=0, lineterm="",
-        )
+        difflib.unified_diff(*lines, str(parent), str(change), n=0, lineterm="")
     )
     for line in diff:
         print(line)
