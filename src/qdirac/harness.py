@@ -187,14 +187,24 @@ def sample_quat_mode(
 
 
 def _central_diff(
-    values: np.ndarray, axis: int, spacing: float, out: np.ndarray | None = None
+    values: np.ndarray, axis: int, scale: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    hi = [slice(1, -1)] * 4
-    lo = [slice(1, -1)] * 4
+    """The step-two difference along ``axis`` times ``scale``, on the interior
+    of every axis of ``values``: with ``scale = 1 / (2h)`` the central
+    difference.
+
+    NumPy divides a + bi by a float c as (a + b*0)*s + (b - a*0)*s i with
+    s = 1/c, and multiplies it by s as (a*s - b*0) + (a*0 + b*s) i.  For
+    finite a and b both are a*s + b*s i, so ``*= 1/(2h)`` gives the doubles
+    of ``/= 2h`` up to the sign of a zero, at about a fifth of the cost of
+    the complex division.
+    """
+    hi = [slice(1, -1)] * values.ndim
+    lo = list(hi)
     hi[axis] = slice(2, None)
     lo[axis] = slice(None, -2)
     out = np.subtract(values[tuple(hi)], values[tuple(lo)], out=out)
-    out /= 2.0 * spacing
+    out *= scale
     return out
 
 
@@ -214,22 +224,29 @@ def fd_apply_D(grid: Grid4, conjugate: bool = False) -> Grid4:
     added for the conjugated derivative (``conjugate=True``).  The input
     values, of shape (n0, n1, n2, n3, 4), may have any layout; the returned
     grid shrinks by one point on each side and is stored component-major.
-    Each output component is built in turn, each spatial difference of one
-    source component going into one reused buffer, so a call allocates the
-    output plus one component buffer and no more.
+    The output is built one time plane at a time from the three input planes
+    around it, each spatial difference going into one reused plane buffer,
+    so a call allocates the output plus one time plane and no more.  Each
+    element sees the same subtraction, scaling by the reciprocal 1/(2h) (see
+    ``_central_diff``), factor i and additions in the same order whatever
+    the blocking, so the output equals a whole-grid evaluation's bitwise.
     """
     values = grid.values
     if min(values.shape[:4]) < 5:
         raise GridTooSmall("need at least 5 points per axis")
     comps = np.moveaxis(values, -1, 0)
     out = np.empty((4,) + tuple(n - 2 for n in values.shape[:4]), dtype=values.dtype)
-    diff = np.empty(out.shape[1:], dtype=values.dtype)
-    for k, out_k in enumerate(out):
-        np.multiply(1j, _central_diff(comps[k], 0, grid.spacing, out=out_k), out=out_k)
-        for r in (1, 2, 3):
-            j, sign = _BASIS_LEFT_MUL[r][k]
-            combine = np.add if (sign > 0) != conjugate else np.subtract
-            combine(out_k, _central_diff(comps[j], r, grid.spacing, out=diff), out=out_k)
+    diff = np.empty((1,) + out.shape[2:], dtype=values.dtype)
+    scale = 1.0 / (2.0 * grid.spacing)
+    for t in range(out.shape[1]):
+        planes = comps[:, t : t + 3]
+        for k in range(4):
+            out_k = out[k, t : t + 1]
+            np.multiply(1j, _central_diff(planes[k], 0, scale, out=out_k), out=out_k)
+            for r in (1, 2, 3):
+                j, sign = _BASIS_LEFT_MUL[r][k]
+                combine = np.add if (sign > 0) != conjugate else np.subtract
+                combine(out_k, _central_diff(planes[j], r, scale, out=diff), out=out_k)
     return Grid4(grid.spacing, np.moveaxis(out, 0, -1))
 
 
@@ -1044,12 +1061,14 @@ def _current_grid(solutions, shape, spacing) -> np.ndarray:
     return fields
 
 
-# the temporal component of fd_apply_D(J, conjugate=True) alone: fd_apply_D
-# forms all four components, which makes the case about 1.5 times as slow
+# the temporal component of fd_apply_D(J, conjugate=True) alone, bitwise:
+# fd_apply_D forms all four components, which makes the case about 1.5 times
+# as slow
 def _fd_divergence_max(fields, spacing):
-    div = 1j * _central_diff(fields[0], 0, spacing)
+    scale = 1.0 / (2.0 * spacing)
+    div = 1j * _central_diff(fields[0], 0, scale)
     for r in (1, 2, 3):
-        div = div + _central_diff(fields[r], r, spacing)
+        div = div + _central_diff(fields[r], r, scale)
     return float(np.max(np.abs(div)))
 
 
@@ -1081,12 +1100,12 @@ def _symbol_convergence_gap(apply, amplitude, exact, energy, momentum, side, h):
     the operator's symbol, on the points that ``apply`` leaves."""
 
     def error(shape, spacing):
-        def sample(amp):
-            return sample_quat_mode(amp, energy, momentum, shape, spacing)
-
-        applied = apply(sample(amplitude)).values
-        trim = (shape[0] - applied.shape[0]) // 2
-        return _max_abs(applied - sample(exact).values[(slice(trim, -trim),) * 4])
+        applied = apply(sample_quat_mode(amplitude, energy, momentum, shape, spacing))
+        # the grids are centred, so the exact wave sampled on the smaller grid
+        # is bitwise the full grid's interior
+        inner = applied.values.shape[:4]
+        wanted = sample_quat_mode(exact, energy, momentum, inner, spacing)
+        return _max_abs(applied.values - wanted.values)
 
     return _convergence_gap(error, side, h)
 

@@ -58,6 +58,9 @@ def test_pair_current_cross_terms():
     psi_a, psi_b = rand_psi(rng), rand_psi(rng)
     a, b = spinor_to_pair(psi_a), spinor_to_pair(psi_b)
     assert np.max(np.abs(pair_current(a, a) - pair_current(a))) == 0.0
+    # a single pair's temporal part is imaginary and its spatial part real
+    assert abs(pair_current(a)[0].real) < 1e-14
+    assert np.max(np.abs(pair_current(a)[1:].imag)) < 1e-14
     total = pair_current(spinor_to_pair(psi_a + psi_b))
     parts = pair_current(a) + pair_current(a, b) + pair_current(b, a) + pair_current(b)
     assert np.max(np.abs(total - parts)) < 1e-12
@@ -161,13 +164,6 @@ def check_cross_terms(pairs, spec):
             for mu, head in enumerate(heads):
                 want = (head * phis[b]).trace().temporal
                 assert abs(got[mu] - want) < 1e-14
-
-
-def test_euclidean_current_structure():
-    rng = np.random.default_rng(2)
-    j = pair_current(spinor_to_pair(rand_psi(rng)))
-    assert abs(j[0].real) < 1e-14
-    assert np.max(np.abs(j[1:].imag)) < 1e-14
 
 
 def test_divergence_single_and_two_modes():

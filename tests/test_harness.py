@@ -92,7 +92,10 @@ def test_fd_apply_D_is_bitwise_the_point_major_reference(conjugate):
     shape = (5, 6, 7, 8, 4)
     c_order = Grid4(0.1, rng.normal(size=shape) + 1j * rng.normal(size=shape))
     sampled = hz.sample_quat_mode(_AMPLITUDE, _ENERGY, _MOMENTUM, (11,) * 4, _SPACING)
-    for grid in (c_order, sampled):
+    # a time axis longer than the others pins the first and last planes
+    long_time = (9, 5, 6, 5, 4)
+    t_major = Grid4(0.1, rng.normal(size=long_time) + 1j * rng.normal(size=long_time))
+    for grid in (c_order, sampled, t_major):
         expected = _fd_apply_D_point_major(grid, conjugate)
         assert fd_apply_D(grid, conjugate).values.tobytes() == expected.tobytes()
     # the chain of the d'Alembertian case takes a component-major derivative grid
@@ -112,7 +115,7 @@ def test_grids_are_component_major_accurate_and_small():
     direct = np.exp(1j * phase)[..., None] * np.array(_AMPLITUDE.components)
     amp = max(abs(c) for c in _AMPLITUDE.components)
     assert np.max(np.abs(grid.values - direct)) <= 1e-14 * amp
-    # the output plus one component buffer, and no other grid-size array
+    # the output plus one time-plane buffer, and no other grid-size array
     grid = hz.sample_quat_mode(_AMPLITUDE, _ENERGY, _MOMENTUM, (25,) * 4, _SPACING)
     tracemalloc.start()
     try:
@@ -120,7 +123,7 @@ def test_grids_are_component_major_accurate_and_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.3 * out.values.nbytes
+    assert peak <= 1.05 * out.values.nbytes
 
 
 @pytest.mark.parametrize(
