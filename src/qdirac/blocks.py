@@ -16,6 +16,12 @@ statement inherited by the 4x4 scalar trace.
 The constructors check that both entries are quaternions or scalars.  The
 results of block arithmetic are built unchecked from the quaternions that
 the arithmetic returns.
+
+Entries may be stacks of quaternions (see ``quaternion``); a block of
+stacks is then a stack of blocks, which the products, sums, conjugations,
+``inverse`` and ``block_power`` handle with the same code, and whose
+``max_abs`` gives one value per member.  A scalar entry broadcasts against
+a stack.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ def _as_quat(x) -> Quat:
 
 class _Block:
     __slots__ = ("upper", "lower")
+    # ndarray * block calls _Block.__rmul__ instead of building an object array
+    __array_ufunc__ = None
 
     def __init__(self, upper, lower):
         self.upper = _as_quat(upper)
@@ -100,8 +108,9 @@ class _Block:
         """Entrywise complex conjugation; shape is preserved."""
         return self._of(self.upper.complex_conj(), self.lower.complex_conj())
 
-    def max_abs(self) -> float:
-        """Largest component modulus of both blocks; NaN when any is NaN."""
+    def max_abs(self):
+        """Largest component modulus of both blocks; NaN when any is NaN.  A
+        stack gives one value per member."""
         return _max_abs(self.upper.components + self.lower.components)
 
 
@@ -150,7 +159,9 @@ def identity_rotator() -> Rotator:
 
 
 def block_power(r: Rotator, n: int) -> Rotator:
-    """Integer power of a rotator; negative powers use block inverses."""
+    """Integer power of a rotator, or of each member of a stack of rotators;
+    negative powers use block inverses.  The zeroth power is the identity,
+    which broadcasts against a stack."""
     if n < 0:
         return block_power(r.inverse(), -n)
     if n == 0:

@@ -22,6 +22,14 @@ A = Reflector(A, Ac), Phi = Reflector(phi1, phi2), M = Reflector(M, -Mc).
 ``transform_state`` applies the exponent-n transformation law, and
 ``apply_discrete`` the parity, time-reversal and charge-conjugation
 elements.
+
+Every entry point takes a stack of trials as well as a single one: a
+``FieldData`` with masses (...,) and potentials (..., 4), momenta (..., 3),
+``PlaneWaveMode`` energies (...,) and amplitudes (..., 4), energies (...,)
+for ``pair_system_matrix``, and bispinor pairs, states and rotors whose
+quaternions are stacks (see ``quaternion``).  ``dirac_hamiltonian`` then
+returns (..., 4, 4) and ``plane_wave_modes`` takes all the spectra in one
+stacked ``eigh``, whose output is bitwise that of one ``eigh`` per matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import Reflector, Rotator, block_power
-from .quaternion import Quat
+from .quaternion import Quat, _last_axis
 from .spinor_maps import SIGMA, ideal_factor, lift_G, lift_L, map_F, map_N
 from .transforms import TransformSpec, rotor_blocks
 
@@ -78,14 +86,15 @@ def _check_finite(**fields) -> None:
 
 @dataclass(frozen=True)
 class FieldData:
-    """Rest mass and constant potential, stored in Minkowski components."""
+    """Rest mass and constant potential, stored in Minkowski components; a
+    stack holds masses (...,) and potentials (..., 4)."""
 
-    mass: float
+    mass: float | np.ndarray
     potential: np.ndarray = field(default_factory=lambda: np.zeros(4))
 
     def __post_init__(self):
         object.__setattr__(self, "potential", np.asarray(self.potential, dtype=float))
-        if self.potential.shape != (4,):
+        if self.potential.shape[-1:] != (4,):
             raise ValueError("potential must be a real 4-vector")
         _check_finite(mass=self.mass, potential=self.potential)
 
@@ -96,22 +105,23 @@ class FieldData:
 
     @property
     def euclidean_potential(self) -> Quat:
-        a = self.potential
-        return Quat(-1j * a[0], a[1], a[2], a[3])
+        a0, a1, a2, a3 = _last_axis(self.potential)
+        return Quat(-1j * a0, a1, a2, a3)
 
 
 @dataclass(frozen=True)
 class PlaneWaveMode:
-    """One exact mode: amplitude times exp(i(p.x - E*x0))."""
+    """One exact mode: amplitude times exp(i(p.x - E*x0)); a stack holds
+    energies (...,), momenta (..., 3) and amplitudes (..., 4)."""
 
-    energy: float
+    energy: float | np.ndarray
     momentum: np.ndarray
     amplitude: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "momentum", np.asarray(self.momentum, dtype=float))
         object.__setattr__(self, "amplitude", np.asarray(self.amplitude, dtype=complex))
-        if self.momentum.shape != (3,) or self.amplitude.shape != (4,):
+        if self.momentum.shape[-1:] != (3,) or self.amplitude.shape[-1:] != (4,):
             raise ValueError("momentum must be a 3-vector and amplitude a 4-column")
         _check_finite(
             energy=self.energy, momentum=self.momentum, amplitude=self.amplitude
@@ -128,11 +138,17 @@ class BispinorPair:
 
 
 def dirac_hamiltonian(p, fd: FieldData) -> np.ndarray:
-    """Momentum-space operator sum_r alpha_r (p_r - A_r) + A0 + m*beta."""
+    """Momentum-space operator sum_r alpha_r (p_r - A_r) + A0 + m*beta;
+    (..., 4, 4) for momenta (..., 3) or a stacked ``fd``."""
     p = np.asarray(p, dtype=float)
     _check_finite(momentum=p.ravel())
-    a = fd.potential
-    h = a[0] * np.eye(4, dtype=complex) + fd.mass * BETA
+    a, mass = fd.potential, fd.mass
+    if p.ndim > 1 or a.ndim > 1 or isinstance(mass, np.ndarray):
+        # entries first, and a trailing (1, 1) to meet each trial's matrices
+        p = np.moveaxis(p, -1, 0)[..., None, None]
+        a = np.moveaxis(a, -1, 0)[..., None, None]
+        mass = np.asarray(mass)[..., None, None]
+    h = a[0] * np.eye(4, dtype=complex) + mass * BETA
     for r in range(3):
         h = h + (p[r] - a[r + 1]) * ALPHA[r]
     return h
@@ -142,19 +158,27 @@ def plane_wave_modes(p, fd: FieldData) -> list[PlaneWaveMode]:
     """Four orthonormal plane-wave modes at momentum p, by energy ascending.
 
     Degenerate eigenspaces are returned with whatever orthonormal basis the
-    eigensolver produces.
+    eigensolver produces.  For stacked momenta or fields each mode is a
+    stack, from one stacked ``eigh``.
     """
     p = np.asarray(p, dtype=float)
     h = dirac_hamiltonian(p, fd)
     energies, vectors = np.linalg.eigh(h)
+    if h.ndim == 2:
+        return [
+            PlaneWaveMode(float(energies[k]), p, vectors[:, k]) for k in range(4)
+        ]
+    p = np.broadcast_to(p, energies.shape[:-1] + (3,))
     return [
-        PlaneWaveMode(float(energies[k]), p, vectors[:, k]) for k in range(4)
+        PlaneWaveMode(energies[..., k], p, vectors[..., :, k]) for k in range(4)
     ]
 
 
 # each lift convention: the column lift, its inverse map, and the sign s of
 # the ideal factor (1 + s*i*i3) that the lifted columns are multiplied by
 _LIFTS = {"G": (lift_G, map_F, 1), "L": (lift_L, map_N, -1)}
+# the ideal factor of each sign, built once
+_FACTORS = {sign: ideal_factor(sign) for sign in (1, -1)}
 
 # relative tolerance of the ideal-membership check in pair_to_spinor
 _IDEAL_TOL = 1e-9
@@ -171,17 +195,21 @@ def spinor_to_pair(amplitude, lift: str = "G") -> BispinorPair:
     """Translate a 4-column amplitude into its quaternion bispinor pair."""
     lift_col, _, sign = _lift_convention(lift)
     psi = np.asarray(amplitude, dtype=complex)
-    psi1, psi2 = psi[:2], psi[2:]
+    psi1, psi2 = psi[..., :2], psi[..., 2:]
     col1 = psi1 + psi2
     col2 = 1j * (psi1 - psi2)
-    factor = ideal_factor(sign)
+    factor = _FACTORS[sign]
     return BispinorPair(lift_col(col1) * factor, lift_col(col2) * factor, lift)
 
 
 def _check_ideal(q: Quat, sign: int) -> None:
-    resid = q * ideal_factor(sign) - 2.0 * q
-    scale = max(1.0, q.max_abs())
-    if not resid.max_abs() <= _IDEAL_TOL * scale:  # NaN fails too
+    resid = q * _FACTORS[sign] - 2.0 * q
+    size = q.max_abs()
+    if isinstance(size, np.ndarray):
+        inside = (resid.max_abs() <= _IDEAL_TOL * np.maximum(1.0, size)).all()
+    else:
+        inside = resid.max_abs() <= _IDEAL_TOL * max(1.0, size)
+    if not inside:  # NaN fails too
         raise IdealViolation(
             "quaternion is not in the (1 %+d*i*i3) ideal" % sign
         )
@@ -196,7 +224,7 @@ def pair_to_spinor(pair: BispinorPair) -> np.ndarray:
     col2 = project(pair.phi2) / 2.0
     psi1 = (col1 - 1j * col2) / 2.0
     psi2 = (col1 + 1j * col2) / 2.0
-    return np.concatenate([psi1, psi2])
+    return np.concatenate([psi1, psi2], axis=-1)
 
 
 # P = (E, i p1, i p2, i p3) from (E, p1, p2, p3), on stacked components
@@ -206,7 +234,8 @@ _SYMBOL = np.array([1, 1j, 1j, 1j])
 def _symbol(energy, p) -> Quat:
     """P = E + i*(i1 p1 + i2 p2 + i3 p3), the symbol of the derivative on
     exp(i(p.x - E*x0))."""
-    return Quat(energy, 1j * p[0], 1j * p[1], 1j * p[2])
+    p1, p2, p3 = _last_axis(p)
+    return Quat(energy, 1j * p1, 1j * p2, 1j * p3)
 
 
 def momentum_symbol(mode: PlaneWaveMode) -> tuple[Quat, Quat]:
@@ -322,7 +351,8 @@ def apply_discrete(state: DiracState, kind: str) -> DiracState:
 def pair_system_matrix(
     energy: float, p, fd: FieldData, lift: str = "G"
 ) -> np.ndarray:
-    """4x4 complex matrix of the quaternion equations over C^2 x C^2 unknowns.
+    """4x4 complex matrix of the quaternion equations over C^2 x C^2 unknowns;
+    (..., 4, 4) for stacked energies, momenta or fields.
 
     The composite map column -> lift -> ideal is C-linear, so the residual
     of the quaternion pair is linear in (col1, col2); this matrix is
@@ -337,10 +367,11 @@ def pair_system_matrix(
     m = Quat(fd.euclidean_mass)
     coupled = sym - 1j * a
     coupled_c, m_c = coupled.quat_conj(), m.quat_conj()
-    out = np.empty((4, 4), dtype=complex)
+    stack = np.broadcast_shapes(np.shape(coupled.temporal), np.shape(m.temporal))
+    out = np.empty(stack + (4, 4), dtype=complex)
     for j, (phi1, phi2) in enumerate(basis):
-        out[:2, j] = project(coupled_c * phi1 - phi2 * m)
-        out[2:, j] = project(coupled * phi2 + phi1 * m_c)
+        out[..., :2, j] = project(coupled_c * phi1 - phi2 * m)
+        out[..., 2:, j] = project(coupled * phi2 + phi1 * m_c)
     out /= 2.0
     return out
 
@@ -348,7 +379,7 @@ def pair_system_matrix(
 def _basis_pairs(lift: str) -> tuple[tuple[Quat, Quat], ...]:
     """Bispinor pairs of the four unit columns, as ``spinor_to_pair`` lifts them."""
     lift_col, _, sign = _LIFTS[lift]
-    factor = ideal_factor(sign)
+    factor = _FACTORS[sign]
     pairs = []
     for j in range(4):
         col = np.zeros(4, dtype=complex)

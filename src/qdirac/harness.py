@@ -12,8 +12,12 @@ Each suite is an ordered list of cases.  A case is a generator that draws
 its instances from a counter-based generator keyed by (seed, suite, case
 name), so it draws the same instances under ``all`` as under its own suite,
 and yields one residual per check; ``_run_case`` reduces them to the
-largest.  A case passes when that residual is at most its pinned tolerance.
-Cases come in three kinds: only ``residual`` tolerances scale with
+largest.  The cases of the invariance, equivalence and symmetries suites
+first draw all their trials, reading the generator in the order of a loop
+over the trials, then make one library call per check on the stack of
+trials (see ``quaternion``) and yield its residuals trial by trial.  A
+case passes when that residual is at most its pinned tolerance.  Cases
+come in three kinds: only ``residual`` tolerances scale with
 ``cfg.tol / 1e-10``, while ``guard`` cases (yield 0 or 1, and 1 when the
 guarded quantity is NaN) and ``order`` cases (yield the gap of a
 convergence ratio from 4) keep theirs.  A case fails when any residual is
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -308,9 +313,16 @@ def boost_matrix4(axis, rapidity: float) -> np.ndarray:
 
 
 def quat_to_minkowski(q: Quat) -> np.ndarray:
-    """Real Minkowski components of a Euclidean four-vector quaternion."""
+    """Real Minkowski components of a Euclidean four-vector quaternion;
+    (..., 4) for a stack."""
     c0, c1, c2, c3 = q.components
     t = 1j * c0
+    if isinstance(t, np.ndarray):
+        v = np.stack([t, c1, c2, c3], axis=-1)
+        scale = np.maximum(1.0, np.abs(v).max(axis=-1))
+        if (np.abs(v.imag).max(axis=-1) > 1e-9 * scale).any():
+            raise ValueError("quaternion is not a Euclidean four-vector")
+        return v.real.copy()
     scale = max(1.0, abs(t), abs(c1), abs(c2), abs(c3))
     if max(abs(t.imag), abs(c1.imag), abs(c2.imag), abs(c3.imag)) > 1e-9 * scale:
         raise ValueError("quaternion is not a Euclidean four-vector")
@@ -420,10 +432,46 @@ def rand_solution(rng, fd: dr.FieldData):
     return dr.spinor_to_pair(mode.amplitude), mode
 
 
-def _rand_state(rng, with_potential: bool = True) -> dr.DiracState:
+def _draw_state(rng, with_potential: bool = True):
+    """One trial's draws of a random solution state: the field, the momentum
+    and which of the four plane-wave modes, as ``rand_solution`` draws them."""
     fd = rand_field(rng, with_potential=with_potential)
-    _, mode = rand_solution(rng, fd)
-    return dr.state_from_mode(mode, fd)
+    return fd, rand_momentum(rng), int(rng.integers(4))
+
+
+def _draw_state_and_rotor(rng, with_potential: bool = True):
+    return (*_draw_state(rng, with_potential), rand_rotor(rng))
+
+
+def _stack(draws):
+    """One trial's draws after another as one stack over the trials: a
+    ``Quat`` of component arrays, a ``FieldData`` of mass and potential
+    arrays, or an array with the trials first."""
+    first = draws[0]
+    if isinstance(first, Quat):
+        return Quat(*np.array([q.components for q in draws]).T)
+    if isinstance(first, dr.FieldData):
+        mass = np.array([fd.mass for fd in draws])
+        return dr.FieldData(mass, np.array([fd.potential for fd in draws]))
+    return np.array(draws)
+
+
+def _trials(rng, count: int, draw) -> list:
+    """Call ``draw(rng)`` ``count`` times, so that the generator is read as a
+    loop over the trials reads it, and stack each value that ``draw``
+    returns over the trials."""
+    rows = [draw(rng) for _ in range(count)]
+    return [_stack(column) for column in zip(*rows)]
+
+
+def _states(fd: dr.FieldData, p: np.ndarray, pick: np.ndarray) -> dr.DiracState:
+    """The stacked states of the stacked draws of ``_draw_state``: mode
+    ``pick`` of each trial's four plane-wave modes."""
+    modes = dr.plane_wave_modes(p, fd)
+    rows = np.arange(len(pick))
+    energy = np.stack([mode.energy for mode in modes], axis=-1)[rows, pick]
+    amplitude = np.stack([mode.amplitude for mode in modes], axis=-2)[rows, pick]
+    return dr.state_from_mode(dr.PlaneWaveMode(energy, p, amplitude), fd)
 
 
 def _n_draws(cfg) -> list[int]:
@@ -438,6 +486,18 @@ def _n_draws(cfg) -> list[int]:
 
 def _max_abs(x) -> float:
     return float(np.abs(x).max())
+
+
+def _trial_max(x) -> np.ndarray:
+    """The largest modulus of each trial's entries of an array with the trials
+    first; NaN for a trial with a NaN entry."""
+    return np.abs(x).reshape(len(x), -1).max(axis=1)
+
+
+def _per_trial(*residuals) -> list[float]:
+    """Residual arrays over the trials, trial by trial: all of the first
+    trial's residuals in the order given, then the second trial's."""
+    return np.stack(residuals, axis=1).ravel().tolist()
 
 
 def _raises(exc, fn, *args) -> float:
@@ -725,80 +785,119 @@ def _case_identity_pattern(rng, cfg):
 
 # ---------------------------------------------------------------------------
 # invariance suite (four-vector laws, boosts, exponent-n transformation)
+#
+# The cases of this suite, and of the equivalence and symmetries suites, draw
+# all their trials first with ``_trials`` and then make one stacked library
+# call per check.  The oracles (``_matrix_oracle`` and the closed forms) are
+# evaluated per trial in the draw pass.
 
 def _case_boost_unit_time(rng, cfg):
     unit_time = minkowski_to_quat([1.0, 0, 0, 0])
-    for _ in range(cfg.trials):
+
+    def draw(rng):
         axis = rand_unit3(rng)
         w = rng.uniform(-2.0, 2.0)
-        moved = tr.four_vector_transform(unit_time, tr.rotor_boost(axis, w))
-        out = quat_to_minkowski(moved)
-        yield _max_abs(out - np.concatenate([[math.cosh(w)], math.sinh(w) * axis]))
+        want = np.concatenate([[math.cosh(w)], math.sinh(w) * axis])
+        return tr.rotor_boost(axis, w), want
+
+    rotor, want = _trials(rng, cfg.trials, draw)
+    moved = tr.four_vector_transform(unit_time, rotor)
+    yield from _trial_max(quat_to_minkowski(moved) - want).tolist()
 
 
 def _case_four_vector_vs_matrix(rng, cfg):
-    for _ in range(cfg.trials):
-        for draw in (rand_rotation, rand_boost):
-            rotor = draw(rng)
+    def draw(rng):
+        values = []
+        for rotor_draw in (rand_rotation, rand_boost):
+            rotor = rotor_draw(rng)
             q = rand_euclidean_quat(rng)
-            got = quat_to_minkowski(tr.four_vector_transform(q, rotor))
-            yield _max_abs(got - _matrix_oracle(rotor) @ quat_to_minkowski(q))
+            values += [rotor, q, _matrix_oracle(rotor) @ quat_to_minkowski(q)]
+        return values
+
+    draws = _trials(rng, cfg.trials, draw)
+    gaps = []
+    for rotor, q, want in (draws[:3], draws[3:]):
+        got = quat_to_minkowski(tr.four_vector_transform(q, rotor))
+        gaps.append(_trial_max(got - want))
+    yield from _per_trial(*gaps)
 
 
 def _case_interval_preservation(rng, cfg):
-    for _ in range(cfg.trials):
-        q = rand_euclidean_quat(rng)
-        v = quat_to_minkowski(q)
-        v2 = quat_to_minkowski(tr.four_vector_transform(q, rand_boost(rng)))
-        yield abs((v[0] ** 2 - v[1:] @ v[1:]) - (v2[0] ** 2 - v2[1:] @ v2[1:]))
+    def draw(rng):
+        return rand_euclidean_quat(rng), rand_boost(rng)
+
+    q, boost = _trials(rng, cfg.trials, draw)
+    v = quat_to_minkowski(q)
+    v2 = quat_to_minkowski(tr.four_vector_transform(q, boost))
+
+    def interval(u):
+        # a stacked matmul sums like the per-trial u[1:] @ u[1:], bitwise
+        return u[:, 0] ** 2 - (u[:, None, 1:] @ u[:, 1:, None])[:, 0, 0]
+
+    yield from np.abs(interval(v) - interval(v2)).tolist()
 
 
 def _case_composition(rng, cfg):
     move = tr.four_vector_transform
-    for _ in range(cfg.trials):
+
+    def draw(rng):
         q = rand_euclidean_quat(rng)
         r1, r2 = rand_rotation(rng), rand_rotation(rng)
-        yield (move(move(q, r1), r2) - move(q, r2 * r1)).max_abs()
         axis = rand_unit3(rng)
         w1, w2 = rng.uniform(-2, 2, 2)
         b1, b2 = tr.rotor_boost(axis, w1), tr.rotor_boost(axis, w2)
-        yield (move(move(q, b1), b2) - move(q, tr.rotor_boost(axis, w1 + w2))).max_abs()
-        yield (move(move(q, b1), tr.rotor_boost(axis, -w1)) - q).max_abs()
-        # rotation then boost: one mixed rotor, neither a rotation nor a boost
-        mixed = move(q, b1 * r1)
-        yield (move(move(q, r1), b1) - mixed).max_abs()
         oracle = _matrix_oracle(b1) @ _matrix_oracle(r1) @ quat_to_minkowski(q)
-        yield _max_abs(quat_to_minkowski(mixed) - oracle)
+        boosts = (tr.rotor_boost(axis, w1 + w2), tr.rotor_boost(axis, -w1))
+        return q, r1, r2, b1, b2, *boosts, oracle
+
+    q, r1, r2, b1, b2, b12, b1_back, oracle = _trials(rng, cfg.trials, draw)
+    # rotation then boost: one mixed rotor, neither a rotation nor a boost
+    mixed = move(q, b1 * r1)
+    yield from _per_trial(
+        (move(move(q, r1), r2) - move(q, r2 * r1)).max_abs(),
+        (move(move(q, b1), b2) - move(q, b12)).max_abs(),
+        (move(move(q, b1), b1_back) - q).max_abs(),
+        (move(move(q, r1), b1) - mixed).max_abs(),
+        _trial_max(quat_to_minkowski(mixed) - oracle),
+    )
 
 
 def _case_blocks_vs_vector_path(rng, cfg):
-    for _ in range(cfg.trials):
-        rotor = rand_rotor(rng)
-        q = rand_euclidean_quat(rng)
-        r, rc = tr.rotor_blocks(rotor)
-        moved = r * bl.Reflector(q, q.quat_conj()) * rc
-        direct = tr.four_vector_transform(q, rotor)
-        yield (moved.upper - direct).max_abs()
-        yield (moved.lower - direct.quat_conj()).max_abs()
+    def draw(rng):
+        return rand_rotor(rng), rand_euclidean_quat(rng)
+
+    rotor, q = _trials(rng, cfg.trials, draw)
+    r, rc = tr.rotor_blocks(rotor)
+    moved = r * bl.Reflector(q, q.quat_conj()) * rc
+    direct = tr.four_vector_transform(q, rotor)
+    yield from _per_trial(
+        (moved.upper - direct).max_abs(), (moved.lower - direct.quat_conj()).max_abs()
+    )
 
 
 def _case_n_invariance(rng, cfg):
-    for n in _n_draws(cfg):
-        state = _rand_state(rng)
-        moved = dr.transform_state(state, tr.TransformSpec(rand_rotor(rng), n))
-        yield moved.residual().max_abs()
+    # the trials of one exponent are consecutive: one stack per exponent
+    for n, block in itertools.groupby(_n_draws(cfg)):
+        fd, p, pick, rotor = _trials(rng, len(list(block)), _draw_state_and_rotor)
+        moved = dr.transform_state(_states(fd, p, pick), tr.TransformSpec(rotor, n))
+        yield from moved.residual().max_abs().tolist()
 
 
 def _case_mass_four_vector(rng, cfg):
-    for _ in range(cfg.trials):
+    def draw(rng):
         fd = rand_field(rng)
-        state = dr.state_from_mode(dr.plane_wave_modes(np.zeros(3), fd)[3], fd)
-        spec = tr.TransformSpec(rand_boost(rng), 1)
-        mass_after = dr.transform_state(state, spec).m.upper
-        direct = tr.four_vector_transform(Quat(fd.euclidean_mass), spec.rotor)
-        yield (mass_after - direct).max_abs()
-        oracle = _matrix_oracle(spec.rotor) @ np.array([fd.mass, 0.0, 0.0, 0.0])
-        yield _max_abs(quat_to_minkowski(mass_after) - oracle)
+        boost = rand_boost(rng)
+        return fd, boost, _matrix_oracle(boost) @ np.array([fd.mass, 0.0, 0.0, 0.0])
+
+    fd, boost, oracle = _trials(rng, cfg.trials, draw)
+    state = dr.state_from_mode(dr.plane_wave_modes(np.zeros(3), fd)[3], fd)
+    spec = tr.TransformSpec(boost, 1)
+    mass_after = dr.transform_state(state, spec).m.upper
+    direct = tr.four_vector_transform(Quat(fd.euclidean_mass), spec.rotor)
+    yield from _per_trial(
+        (mass_after - direct).max_abs(),
+        _trial_max(quat_to_minkowski(mass_after) - oracle),
+    )
     # a unit-rapidity boost must push the mass off the temporal axis
     fd = dr.FieldData(1.0)
     state = dr.state_from_mode(dr.plane_wave_modes(np.zeros(3), fd)[3], fd)
@@ -808,103 +907,121 @@ def _case_mass_four_vector(rng, cfg):
 
 
 def _case_mass_fixed_n0(rng, cfg):
-    for _ in range(cfg.trials):
-        state = _rand_state(rng, with_potential=False)
-        moved = dr.transform_state(state, tr.TransformSpec(rand_rotor(rng), 0))
-        yield (moved.m - state.m).max_abs()
+    draw = functools.partial(_draw_state_and_rotor, with_potential=False)
+    fd, p, pick, rotor = _trials(rng, cfg.trials, draw)
+    state = _states(fd, p, pick)
+    moved = dr.transform_state(state, tr.TransformSpec(rotor, 0))
+    yield from (moved.m - state.m).max_abs().tolist()
 
 
 # ---------------------------------------------------------------------------
 # equivalence suite
 
 def _case_translated_residuals(rng, cfg):
-    for _ in range(cfg.trials):
-        fd = rand_field(rng, with_potential=True)
-        for mode in dr.plane_wave_modes(rand_momentum(rng), fd):
-            r1, r2 = dr.pair_residual(dr.spinor_to_pair(mode.amplitude), mode, fd)
-            yield r1.max_abs()
-            yield r2.max_abs()
-            yield dr.state_from_mode(mode, fd).residual().max_abs()
+    def draw(rng):
+        return rand_field(rng, with_potential=True), rand_momentum(rng)
+
+    fd, p = _trials(rng, cfg.trials, draw)
+    per_mode = []
+    for mode in dr.plane_wave_modes(p, fd):
+        r1, r2 = dr.pair_residual(dr.spinor_to_pair(mode.amplitude), mode, fd)
+        block = dr.state_from_mode(mode, fd).residual()
+        residuals = [r1.max_abs(), r2.max_abs(), block.max_abs()]
+        per_mode.append(np.stack(residuals, axis=1))
+    yield from _per_trial(*per_mode)
 
 
 def _case_block_equals_pair(rng, cfg):
-    for _ in range(cfg.trials):
+    def draw(rng):
         fd = rand_field(rng, with_potential=True)
         energy, p = rng.uniform(-2, 2), rand_momentum(rng)
-        mode = dr.PlaneWaveMode(energy, p, rng.normal(size=4) + 1j * rng.normal(size=4))
-        r1, r2 = dr.pair_residual(dr.spinor_to_pair(mode.amplitude), mode, fd)
-        block = dr.state_from_mode(mode, fd).residual()
-        yield (block.upper - r2).max_abs()
-        yield (block.lower - r1).max_abs()
+        return fd, energy, p, rng.normal(size=4) + 1j * rng.normal(size=4)
+
+    fd, energy, p, amplitude = _trials(rng, cfg.trials, draw)
+    mode = dr.PlaneWaveMode(energy, p, amplitude)
+    r1, r2 = dr.pair_residual(dr.spinor_to_pair(mode.amplitude), mode, fd)
+    block = dr.state_from_mode(mode, fd).residual()
+    yield from _per_trial((block.upper - r2).max_abs(), (block.lower - r1).max_abs())
+
+
+def _rand_spinors(rng, cfg) -> np.ndarray:
+    """``cfg.trials`` draws of a random 4-column, (trials, 4)."""
+    return np.array([rand_complex_vec(rng, 4) for _ in range(cfg.trials)])
 
 
 def _case_spinor_roundtrip(rng, cfg):
-    for _ in range(cfg.trials):
-        psi = rand_complex_vec(rng, 4)
-        for lift in ("G", "L"):
-            yield _max_abs(dr.pair_to_spinor(dr.spinor_to_pair(psi, lift)) - psi)
+    psi = _rand_spinors(rng, cfg)
+    yield from _per_trial(
+        *(
+            _trial_max(dr.pair_to_spinor(dr.spinor_to_pair(psi, lift)) - psi)
+            for lift in ("G", "L")
+        )
+    )
 
 
 def _case_ideal_membership(rng, cfg):
     factor = sm.ideal_factor(1)
-    for _ in range(cfg.trials):
-        pair = dr.spinor_to_pair(rand_complex_vec(rng, 4))
-        for phi in (pair.phi1, pair.phi2):
-            yield (phi * factor - 2.0 * phi).max_abs()
+    pair = dr.spinor_to_pair(_rand_spinors(rng, cfg))
+    yield from _per_trial(
+        *((phi * factor - 2.0 * phi).max_abs() for phi in (pair.phi1, pair.phi2))
+    )
 
 
 def _rand_spectra(rng, cfg, with_shift: bool = False):
     """Draw each trial's field, momentum and, ``with_shift``, energy shift in
-    turn, then take all the Hamiltonian spectra in one stacked ``eigvalsh``."""
-    draws = []
-    for _ in range(cfg.trials):
+    turn, stacked, and the Hamiltonian spectra (trials, 4) of one stacked
+    ``eigvalsh``."""
+
+    def draw(rng):
         fd = rand_field(rng, with_potential=True)
         p = rand_momentum(rng)
-        draws.append((fd, p, rng.uniform(0.5, 1.5) if with_shift else None))
-    spectra = np.linalg.eigvalsh(
-        np.stack([dr.dirac_hamiltonian(p, fd) for fd, p, _ in draws])
-    )
-    return draws, spectra
+        return fd, p, rng.uniform(0.5, 1.5) if with_shift else None
+
+    fd, p, shift = _trials(rng, cfg.trials, draw)
+    return fd, p, shift, np.linalg.eigvalsh(dr.dirac_hamiltonian(p, fd))
 
 
 def _smallest_singular_values(systems) -> np.ndarray:
-    return np.linalg.svd(np.stack(systems), compute_uv=False)[:, -1]
+    return np.linalg.svd(systems, compute_uv=False)[:, -1]
 
 
 def _case_eigenvalue_match(rng, cfg):
-    draws, spectra = _rand_spectra(rng, cfg)
-    systems = [
-        dr.pair_system_matrix(float(e), p, fd, lift)
-        for (fd, p, _), energies in zip(draws, spectra)
-        for lift in ("G", "L")
-        for e in energies
-    ]
-    yield from _smallest_singular_values(systems).tolist()
+    fd, p, _, spectra = _rand_spectra(rng, cfg)
+    # each trial's systems: both lifts, each at the four energies
+    systems = np.stack(
+        [
+            dr.pair_system_matrix(spectra[:, k], p, fd, lift)
+            for lift in ("G", "L")
+            for k in range(4)
+        ],
+        axis=1,
+    )
+    yield from _smallest_singular_values(systems.reshape(-1, 4, 4)).tolist()
 
 
 def _case_off_eigenvalue_nonsingular(rng, cfg):
-    draws, spectra = _rand_spectra(rng, cfg, with_shift=True)
-    systems = [
-        dr.pair_system_matrix(float(energies[-1]) + shift, p, fd)
-        for (fd, p, shift), energies in zip(draws, spectra)
-    ]
-    for sigma in _smallest_singular_values(systems):
-        yield 0.0 if sigma >= 1e-3 else 1.0
+    fd, p, shift, spectra = _rand_spectra(rng, cfg, with_shift=True)
+    systems = dr.pair_system_matrix(spectra[:, -1] + shift, p, fd)
+    # NaN >= 1e-3 is False: a NaN flags 1.0
+    yield from np.where(_smallest_singular_values(systems) >= 1e-3, 0.0, 1.0).tolist()
 
 
 def _case_massless_mode(rng, cfg):
     fd = dr.FieldData(0.0)
     factor = sm.ideal_factor(1)
-    for _ in range(cfg.trials):
+
+    def draw(rng):
         p = rand_momentum(rng)
         while np.linalg.norm(p) < 0.1:
             p = rand_momentum(rng)
-        mode = dr.PlaneWaveMode(float(np.linalg.norm(p)), p, np.zeros(4))
-        sym, sym_c = dr.momentum_symbol(mode)
-        pair = dr.BispinorPair(sym * factor, sym_c * factor)
-        r1, r2 = dr.pair_residual(pair, mode, fd)
-        yield r1.max_abs()
-        yield r2.max_abs()
+        return float(np.linalg.norm(p)), p
+
+    energy, p = _trials(rng, cfg.trials, draw)
+    mode = dr.PlaneWaveMode(energy, p, np.zeros(4))
+    sym, sym_c = dr.momentum_symbol(mode)
+    pair = dr.BispinorPair(sym * factor, sym_c * factor)
+    r1, r2 = dr.pair_residual(pair, mode, fd)
+    yield from _per_trial(r1.max_abs(), r2.max_abs())
 
 
 def _case_rest_frame_values(rng, cfg):
@@ -924,37 +1041,42 @@ def _case_rest_frame_values(rng, cfg):
 # ---------------------------------------------------------------------------
 # symmetries suite
 
-def _state_gaps(a: dr.DiracState, b: dr.DiracState):
-    yield (a.d - b.d).max_abs()
-    yield (a.a - b.a).max_abs()
-    yield (a.phi - b.phi).max_abs()
-    yield (a.m - b.m).max_abs()
+def _rand_states(rng, cfg) -> dr.DiracState:
+    return _states(*_trials(rng, cfg.trials, _draw_state))
+
+
+def _state_gaps(a: dr.DiracState, b: dr.DiracState) -> np.ndarray:
+    """Per trial, the gaps of the derivative, potential, spinor and mass
+    blocks, (trials, 4)."""
+    return np.stack(
+        [(a.d - b.d).max_abs(), (a.a - b.a).max_abs(), (a.phi - b.phi).max_abs(),
+         (a.m - b.m).max_abs()],
+        axis=1,
+    )
 
 
 def _case_preserves_row(kind):
     def case(rng, cfg):
-        for _ in range(cfg.trials):
-            state = _rand_state(rng)
-            yield dr.apply_discrete(state, kind).residual().max_abs()
+        state = _rand_states(rng, cfg)
+        yield from dr.apply_discrete(state, kind).residual().max_abs().tolist()
 
     case.__name__ = "_case_%s_preserves" % kind
     return case
 
 
 def _case_involutions(rng, cfg):
-    for _ in range(cfg.trials):
-        state = _rand_state(rng)
-        for kind in ("parity", "time_reversal", "charge_conjugation"):
-            twice = dr.apply_discrete(dr.apply_discrete(state, kind), kind)
-            yield from _state_gaps(twice, state)
+    state = _rand_states(rng, cfg)
+    gaps = []
+    for kind in ("parity", "time_reversal", "charge_conjugation"):
+        twice = dr.apply_discrete(dr.apply_discrete(state, kind), kind)
+        gaps.append(_state_gaps(twice, state))
+    yield from _per_trial(*gaps)
 
 
 def _case_charge_conjugation_flips_potential(rng, cfg):
-    for _ in range(cfg.trials):
-        state = _rand_state(rng)
-        image = dr.apply_discrete(state, "charge_conjugation")
-        yield image.residual().max_abs()
-        yield (image.a - (-state.a)).max_abs()
+    state = _rand_states(rng, cfg)
+    image = dr.apply_discrete(state, "charge_conjugation")
+    yield from _per_trial(image.residual().max_abs(), (image.a - (-state.a)).max_abs())
 
 
 # ---------------------------------------------------------------------------

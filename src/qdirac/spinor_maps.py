@@ -11,13 +11,16 @@ by the idempotent (1 + i*i3)/2.  On that ideal, right multiplication by
 -i3 coincides with scalar multiplication by i, which is what restores
 C-linearity to the composite column -> ideal map.  The mirror ideal
 (1 - i*i3) plays the same role for the L/N pair.
+
+Every map takes a stack as well: a stack of quaternions maps to columns
+(..., 2), and columns (..., 2) lift to a stack of quaternions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .quaternion import Quat
+from .quaternion import Quat, _last_axis
 
 __all__ = [
     "SIGMA",
@@ -41,34 +44,49 @@ SIGMA = (
 def map_F(q: Quat) -> np.ndarray:
     """First matrix column of q, a C-linear map onto C^2."""
     q0, q1, q2, q3 = q.components
+    if isinstance(q0, np.ndarray):
+        return np.stack([q0 - 1j * q3, q2 - 1j * q1], axis=-1)
     return np.array([q0 - 1j * q3, q2 - 1j * q1], dtype=complex)
 
 
 def lift_G(v) -> Quat:
     """R-linear lift with map_F(lift_G(v)) == v; components come out real."""
-    v0, v1 = complex(v[0]), complex(v[1])
+    try:
+        v0, v1 = complex(v[0]), complex(v[1])
+    except TypeError:  # a stack of columns
+        v0, v1 = _last_axis(np.asarray(v))
     return Quat(v0.real, -v1.imag, v1.real, -v0.imag)
 
 
 def map_N(q: Quat) -> np.ndarray:
     """Second matrix column of q."""
     q0, q1, q2, q3 = q.components
+    if isinstance(q0, np.ndarray):
+        return np.stack([-q2 - 1j * q1, q0 + 1j * q3], axis=-1)
     return np.array([-q2 - 1j * q1, q0 + 1j * q3], dtype=complex)
 
 
 def lift_L(v) -> Quat:
     """R-linear lift with map_N(lift_L(v)) == v; components come out real."""
-    v0, v1 = complex(v[0]), complex(v[1])
+    try:
+        v0, v1 = complex(v[0]), complex(v[1])
+    except TypeError:  # a stack of columns
+        v0, v1 = _last_axis(np.asarray(v))
     return Quat(v1.real, -v0.imag, -v0.real, v1.imag)
 
 
 def vec_to_quat(v) -> Quat:
     """Coordinate relabelling of a length-4 complex vector as a quaternion."""
+    if isinstance(v, np.ndarray) and v.ndim > 1:
+        return Quat(*_last_axis(v))
     return Quat(v[0], v[1], v[2], v[3])
 
 
 def quat_to_vec(q: Quat) -> np.ndarray:
-    return np.array(q.components, dtype=complex)
+    c = q.components
+    if isinstance(c[0], np.ndarray):
+        return np.stack(c, axis=-1)
+    return np.array(c, dtype=complex)
 
 
 def ideal_factor(sign: int = 1) -> Quat:

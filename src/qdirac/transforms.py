@@ -8,7 +8,10 @@ real spatial coordinates) by one law, q' = R q R.herm_conj(), and moves
 reflector blocks by similarity with Rotator(R, R.complex_conj()), which
 ``rotor_blocks`` returns.  For a rotation R.herm_conj() is R.quat_conj(),
 and for a boost it is R itself.  Both laws raise ValueError on a rotor
-whose complex modulus is not 1.
+whose complex modulus is not 1, to a tolerance relative to the sum of its
+squared component moduli, which a boost of rapidity w makes cosh(w).  Both
+laws take a stack of rotors (see ``quaternion``) and a stack of quaternions
+as well, and raise when any member of the stack is not a rotor.
 
 Conventions fixed here and locked by tests:
 
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import Rotator
-from .quaternion import Quat
+from .quaternion import Quat, _first_member
 
 __all__ = [
     "TransformSpec",
@@ -42,8 +45,11 @@ __all__ = [
     "rotor_blocks",
 ]
 
-# a rotor's complex modulus may differ from 1 by at most this
+# a rotor's complex modulus may differ from 1 by at most this times the sum
+# of its squared component moduli; that sum is at least |m| >= 1 - |m - 1|,
+# so a gap of half the tolerance passes without it
 _UNIT_TOL = 1e-9
+_HALF_UNIT_TOL = 0.5 * _UNIT_TOL
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,8 @@ def _unit_axis(axis) -> np.ndarray:
     a = np.asarray(axis, dtype=float)
     if a.shape != (3,):
         raise ValueError("axis must be a 3-vector")
-    if abs(np.linalg.norm(a) - 1.0) > 1e-8:
+    x, y, z = a.tolist()
+    if abs(math.sqrt(x * x + y * y + z * z) - 1.0) > 1e-8:
         raise ValueError("axis must have unit length")
     return a
 
@@ -103,9 +110,24 @@ def pattern_rotate(pattern: str, r: Quat, q: Quat) -> Quat:
 
 
 def _check_rotor(r: Quat) -> None:
+    """ValueError unless |modulus - 1| <= _UNIT_TOL * sum |r_k|**2, for every
+    member of a stack.  The bound grows with the components because the
+    modulus of a boost, cosh(w/2)**2 - sinh(w/2)**2, cancels two terms of
+    that size."""
     m = r.modulus()
-    if not abs(m - 1.0) <= _UNIT_TOL:  # NaN fails too
+    if type(m) is complex and abs(m - 1.0) <= _HALF_UNIT_TOL:
+        return
+    scale = sum(z.real * z.real + z.imag * z.imag for z in r.components)
+    ok = np.asarray(abs(m - 1.0) <= _UNIT_TOL * scale)  # NaN fails too
+    if ok.all():
+        return
+    if ok.ndim == 0:
         raise ValueError("a rotor must have unit modulus, got modulus %r" % (m,))
+    at = _first_member(~ok)
+    raise ValueError(
+        "a rotor must have unit modulus, got modulus %r at member %r"
+        % (complex(m[at]), at)
+    )
 
 
 def four_vector_transform(q: Quat, r: Quat) -> Quat:
@@ -123,6 +145,6 @@ def rotor_blocks(r: Quat) -> tuple[Rotator, Rotator]:
     as its quaternion conjugate.
     """
     _check_rotor(r)
-    b = Rotator(r, r.complex_conj())
+    b = Rotator._of(r, r.complex_conj())
     return b, b.quat_conj()
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import subprocess
@@ -8,10 +9,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qdirac import blocks as bl
 from qdirac import cli
 from qdirac import current as cur
+from qdirac import dirac as dr
 from qdirac import harness as hz
+from qdirac import quaternion as qt
 from qdirac import spinor_maps as sm
+from qdirac import transforms as tr
 from qdirac.harness import (
     Grid4,
     GridTooSmall,
@@ -501,3 +506,310 @@ def test_cli_n_set_accepts_leading_negative():
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["config"]["n_set"] == [-1, 0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# The invariance, equivalence and symmetries cases draw all their trials and
+# then make one stacked library call per check.  These are the loops they
+# replaced, one library call per trial.  Both read the generator in the same
+# order, so they must yield the same residuals up to rounding.
+
+def _loop_state(rng, with_potential: bool = True) -> dr.DiracState:
+    fd = hz.rand_field(rng, with_potential=with_potential)
+    _, mode = hz.rand_solution(rng, fd)
+    return dr.state_from_mode(mode, fd)
+
+
+def _loop_boost_unit_time(rng, cfg):
+    unit_time = hz.minkowski_to_quat([1.0, 0, 0, 0])
+    for _ in range(cfg.trials):
+        axis = hz.rand_unit3(rng)
+        w = rng.uniform(-2.0, 2.0)
+        moved = tr.four_vector_transform(unit_time, tr.rotor_boost(axis, w))
+        out = hz.quat_to_minkowski(moved)
+        yield hz._max_abs(out - np.concatenate([[math.cosh(w)], math.sinh(w) * axis]))
+
+
+def _loop_four_vector_vs_matrix(rng, cfg):
+    for _ in range(cfg.trials):
+        for draw in (hz.rand_rotation, hz.rand_boost):
+            rotor = draw(rng)
+            q = hz.rand_euclidean_quat(rng)
+            got = hz.quat_to_minkowski(tr.four_vector_transform(q, rotor))
+            yield hz._max_abs(got - hz._matrix_oracle(rotor) @ hz.quat_to_minkowski(q))
+
+
+def _loop_interval_preservation(rng, cfg):
+    for _ in range(cfg.trials):
+        q = hz.rand_euclidean_quat(rng)
+        v = hz.quat_to_minkowski(q)
+        v2 = hz.quat_to_minkowski(tr.four_vector_transform(q, hz.rand_boost(rng)))
+        yield abs((v[0] ** 2 - v[1:] @ v[1:]) - (v2[0] ** 2 - v2[1:] @ v2[1:]))
+
+
+def _loop_composition(rng, cfg):
+    move = tr.four_vector_transform
+    for _ in range(cfg.trials):
+        q = hz.rand_euclidean_quat(rng)
+        r1, r2 = hz.rand_rotation(rng), hz.rand_rotation(rng)
+        yield (move(move(q, r1), r2) - move(q, r2 * r1)).max_abs()
+        axis = hz.rand_unit3(rng)
+        w1, w2 = rng.uniform(-2, 2, 2)
+        b1, b2 = tr.rotor_boost(axis, w1), tr.rotor_boost(axis, w2)
+        yield (move(move(q, b1), b2) - move(q, tr.rotor_boost(axis, w1 + w2))).max_abs()
+        yield (move(move(q, b1), tr.rotor_boost(axis, -w1)) - q).max_abs()
+        # rotation then boost: one mixed rotor, neither a rotation nor a boost
+        mixed = move(q, b1 * r1)
+        yield (move(move(q, r1), b1) - mixed).max_abs()
+        oracle = hz._matrix_oracle(b1) @ hz._matrix_oracle(r1) @ hz.quat_to_minkowski(q)
+        yield hz._max_abs(hz.quat_to_minkowski(mixed) - oracle)
+
+
+def _loop_blocks_vs_vector_path(rng, cfg):
+    for _ in range(cfg.trials):
+        rotor = hz.rand_rotor(rng)
+        q = hz.rand_euclidean_quat(rng)
+        r, rc = tr.rotor_blocks(rotor)
+        moved = r * bl.Reflector(q, q.quat_conj()) * rc
+        direct = tr.four_vector_transform(q, rotor)
+        yield (moved.upper - direct).max_abs()
+        yield (moved.lower - direct.quat_conj()).max_abs()
+
+
+def _loop_n_invariance(rng, cfg):
+    for n in hz._n_draws(cfg):
+        state = _loop_state(rng)
+        moved = dr.transform_state(state, tr.TransformSpec(hz.rand_rotor(rng), n))
+        yield moved.residual().max_abs()
+
+
+def _loop_mass_four_vector(rng, cfg):
+    for _ in range(cfg.trials):
+        fd = hz.rand_field(rng)
+        state = dr.state_from_mode(dr.plane_wave_modes(np.zeros(3), fd)[3], fd)
+        spec = tr.TransformSpec(hz.rand_boost(rng), 1)
+        mass_after = dr.transform_state(state, spec).m.upper
+        direct = tr.four_vector_transform(Quat(fd.euclidean_mass), spec.rotor)
+        yield (mass_after - direct).max_abs()
+        oracle = hz._matrix_oracle(spec.rotor) @ np.array([fd.mass, 0.0, 0.0, 0.0])
+        yield hz._max_abs(hz.quat_to_minkowski(mass_after) - oracle)
+    # a unit-rapidity boost must push the mass off the temporal axis
+    fd = dr.FieldData(1.0)
+    state = dr.state_from_mode(dr.plane_wave_modes(np.zeros(3), fd)[3], fd)
+    spec = tr.TransformSpec(tr.rotor_boost(np.array([1.0, 0, 0]), 1.0), 1)
+    moved = dr.transform_state(state, spec).m.upper
+    yield 0.0 if moved.spatial.max_abs() >= 1e-3 else 1.0
+
+
+def _loop_mass_fixed_n0(rng, cfg):
+    for _ in range(cfg.trials):
+        state = _loop_state(rng, with_potential=False)
+        moved = dr.transform_state(state, tr.TransformSpec(hz.rand_rotor(rng), 0))
+        yield (moved.m - state.m).max_abs()
+
+
+def _loop_translated_residuals(rng, cfg):
+    for _ in range(cfg.trials):
+        fd = hz.rand_field(rng, with_potential=True)
+        for mode in dr.plane_wave_modes(hz.rand_momentum(rng), fd):
+            r1, r2 = dr.pair_residual(dr.spinor_to_pair(mode.amplitude), mode, fd)
+            yield r1.max_abs()
+            yield r2.max_abs()
+            yield dr.state_from_mode(mode, fd).residual().max_abs()
+
+
+def _loop_block_equals_pair(rng, cfg):
+    for _ in range(cfg.trials):
+        fd = hz.rand_field(rng, with_potential=True)
+        energy, p = rng.uniform(-2, 2), hz.rand_momentum(rng)
+        mode = dr.PlaneWaveMode(energy, p, rng.normal(size=4) + 1j * rng.normal(size=4))
+        r1, r2 = dr.pair_residual(dr.spinor_to_pair(mode.amplitude), mode, fd)
+        block = dr.state_from_mode(mode, fd).residual()
+        yield (block.upper - r2).max_abs()
+        yield (block.lower - r1).max_abs()
+
+
+def _loop_spinor_roundtrip(rng, cfg):
+    for _ in range(cfg.trials):
+        psi = hz.rand_complex_vec(rng, 4)
+        for lift in ("G", "L"):
+            yield hz._max_abs(dr.pair_to_spinor(dr.spinor_to_pair(psi, lift)) - psi)
+
+
+def _loop_ideal_membership(rng, cfg):
+    factor = sm.ideal_factor(1)
+    for _ in range(cfg.trials):
+        pair = dr.spinor_to_pair(hz.rand_complex_vec(rng, 4))
+        for phi in (pair.phi1, pair.phi2):
+            yield (phi * factor - 2.0 * phi).max_abs()
+
+
+def _loop_spectra(rng, cfg, with_shift: bool = False):
+    """Draw each trial's field, momentum and, ``with_shift``, energy shift in
+    turn, then take all the Hamiltonian spectra in one stacked ``eigvalsh``."""
+    draws = []
+    for _ in range(cfg.trials):
+        fd = hz.rand_field(rng, with_potential=True)
+        p = hz.rand_momentum(rng)
+        draws.append((fd, p, rng.uniform(0.5, 1.5) if with_shift else None))
+    spectra = np.linalg.eigvalsh(
+        np.stack([dr.dirac_hamiltonian(p, fd) for fd, p, _ in draws])
+    )
+    return draws, spectra
+
+
+def _loop_eigenvalue_match(rng, cfg):
+    draws, spectra = _loop_spectra(rng, cfg)
+    systems = [
+        dr.pair_system_matrix(float(e), p, fd, lift)
+        for (fd, p, _), energies in zip(draws, spectra)
+        for lift in ("G", "L")
+        for e in energies
+    ]
+    yield from np.linalg.svd(np.stack(systems), compute_uv=False)[:, -1].tolist()
+
+
+def _loop_off_eigenvalue_nonsingular(rng, cfg):
+    draws, spectra = _loop_spectra(rng, cfg, with_shift=True)
+    systems = [
+        dr.pair_system_matrix(float(energies[-1]) + shift, p, fd)
+        for (fd, p, shift), energies in zip(draws, spectra)
+    ]
+    for sigma in np.linalg.svd(np.stack(systems), compute_uv=False)[:, -1]:
+        yield 0.0 if sigma >= 1e-3 else 1.0
+
+
+def _loop_massless_mode(rng, cfg):
+    fd = dr.FieldData(0.0)
+    factor = sm.ideal_factor(1)
+    for _ in range(cfg.trials):
+        p = hz.rand_momentum(rng)
+        while np.linalg.norm(p) < 0.1:
+            p = hz.rand_momentum(rng)
+        mode = dr.PlaneWaveMode(float(np.linalg.norm(p)), p, np.zeros(4))
+        sym, sym_c = dr.momentum_symbol(mode)
+        pair = dr.BispinorPair(sym * factor, sym_c * factor)
+        r1, r2 = dr.pair_residual(pair, mode, fd)
+        yield r1.max_abs()
+        yield r2.max_abs()
+
+
+def _loop_state_gaps(a: dr.DiracState, b: dr.DiracState):
+    yield (a.d - b.d).max_abs()
+    yield (a.a - b.a).max_abs()
+    yield (a.phi - b.phi).max_abs()
+    yield (a.m - b.m).max_abs()
+
+
+def _loop_preserves_row(kind):
+    def case(rng, cfg):
+        for _ in range(cfg.trials):
+            state = _loop_state(rng)
+            yield dr.apply_discrete(state, kind).residual().max_abs()
+
+    case.__name__ = "_loop_%s_preserves" % kind
+    return case
+
+
+def _loop_involutions(rng, cfg):
+    for _ in range(cfg.trials):
+        state = _loop_state(rng)
+        for kind in ("parity", "time_reversal", "charge_conjugation"):
+            twice = dr.apply_discrete(dr.apply_discrete(state, kind), kind)
+            yield from _loop_state_gaps(twice, state)
+
+
+def _loop_charge_conjugation_flips_potential(rng, cfg):
+    for _ in range(cfg.trials):
+        state = _loop_state(rng)
+        image = dr.apply_discrete(state, "charge_conjugation")
+        yield image.residual().max_abs()
+        yield (image.a - (-state.a)).max_abs()
+
+
+_LOOPS = {
+    ("invariance", "boost_unit_time"): _loop_boost_unit_time,
+    ("invariance", "four_vector_vs_matrix"): _loop_four_vector_vs_matrix,
+    ("invariance", "interval_preservation"): _loop_interval_preservation,
+    ("invariance", "composition"): _loop_composition,
+    ("invariance", "blocks_vs_vector_path"): _loop_blocks_vs_vector_path,
+    ("invariance", "n_invariance"): _loop_n_invariance,
+    ("invariance", "mass_four_vector"): _loop_mass_four_vector,
+    ("invariance", "mass_fixed_n0"): _loop_mass_fixed_n0,
+    ("equivalence", "translated_residuals"): _loop_translated_residuals,
+    ("equivalence", "block_equals_pair"): _loop_block_equals_pair,
+    ("equivalence", "spinor_roundtrip"): _loop_spinor_roundtrip,
+    ("equivalence", "ideal_membership"): _loop_ideal_membership,
+    ("equivalence", "eigenvalue_match"): _loop_eigenvalue_match,
+    ("equivalence", "off_eigenvalue_nonsingular"): _loop_off_eigenvalue_nonsingular,
+    ("equivalence", "massless_mode"): _loop_massless_mode,
+    ("symmetries", "parity_preserves"): _loop_preserves_row("parity"),
+    ("symmetries", "time_reversal_preserves"): _loop_preserves_row("time_reversal"),
+    ("symmetries", "involutions"): _loop_involutions,
+    ("symmetries", "charge_conjugation_flips_potential"): (
+        _loop_charge_conjugation_flips_potential
+    ),
+}
+
+
+def test_every_stacked_case_has_its_loop():
+    stacked = {
+        (suite, case.name)
+        for suite in ("invariance", "equivalence", "symmetries")
+        for case in hz.SUITES[suite]
+    }
+    # rest_frame_values draws nothing
+    assert stacked - set(_LOOPS) == {("equivalence", "rest_frame_values")}
+
+
+class _Recorder:
+    """A generator that logs the name and arguments of each call made to it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+
+        return call
+
+
+@pytest.mark.parametrize("suite, name", list(_LOOPS))
+def test_stacked_cases_match_their_loops(suite, name):
+    # the residuals of an identity are rounding whatever the draws, so the
+    # calls to the generator are compared as well: a draw pass that reads the
+    # field and the momentum in the other order keeps every residual but
+    # n_invariance's within 1e-14
+    case = next(c for c in hz.SUITES[suite] if c.name == name)
+    for seed in (0, 1, 5):
+        cfg = SuiteConfig(suite=suite, seed=seed, trials=200)
+        rng, loop_rng = (_Recorder(hz.case_rng(seed, suite, name)) for _ in range(2))
+        got = list(case.fn(rng, cfg))
+        want = list(_LOOPS[suite, name](loop_rng, cfg))
+        assert rng.calls == loop_rng.calls, seed
+        assert len(got) == len(want), seed
+        gap = np.max(np.abs(np.subtract(got, want)))
+        assert gap <= 1e-14, (seed, gap)
+
+
+@pytest.mark.parametrize("with_potential", [True, False])
+def test_stacked_states_are_the_loops_states(with_potential):
+    # the states of a stack are those that a loop over the trials draws,
+    # trial by trial, and not only as good solutions
+    count = 50
+    rng, loop_rng = hz.case_rng(3, "test", "states"), hz.case_rng(3, "test", "states")
+    draw = functools.partial(hz._draw_state, with_potential=with_potential)
+    stack = hz._states(*hz._trials(rng, count, draw))
+    states = [_loop_state(loop_rng, with_potential) for _ in range(count)]
+    for field in ("d", "a", "phi", "m"):
+        for part in ("upper", "lower"):
+            got = np.stack(getattr(getattr(stack, field), part).components, axis=-1)
+            want = [getattr(getattr(s, field), part).components for s in states]
+            want = np.array(want)
+            gap = np.max(np.abs(got - want))
+            assert gap <= 1e-14 * np.max(np.abs(want)), (field, part)

@@ -172,6 +172,28 @@ def test_rotor_laws_reject_non_unit_rotors():
     rotor_blocks(rotor)
 
 
+def test_rotor_check_is_relative_to_the_rotor_size():
+    # a boost's modulus cosh(w/2)**2 - sinh(w/2)**2 cancels terms of size
+    # cosh(w), so an absolute bound of 1e-9 would reject rotor_boost's own
+    # rotors from w = 17 on, on most axes
+    rng = np.random.default_rng(31)
+    for w in (17.0, 19.0, 25.0, 30.0, 100.0):
+        for _ in range(200):
+            rotor = rotor_boost(rand_unit3(rng), w)
+            four_vector_transform(I1, rotor)
+            rotor_blocks(rotor)
+        rotor = rotor_boost([0, 0, 1.0], w)
+        four_vector_transform(I1, rotor)
+        rotor_blocks(rotor)
+    # a rotor of size 1 keeps the bound of 1e-9
+    for rotor in (Quat(2.0), Quat(math.sqrt(1.0 + 1e-6))):
+        with pytest.raises(ValueError, match="unit modulus"):
+            four_vector_transform(I1, rotor)
+        with pytest.raises(ValueError, match="unit modulus"):
+            rotor_blocks(rotor)
+    assert abs(Quat(math.sqrt(1.0 + 1e-6)).modulus() - (1.0 + 1e-6)) < 1e-15
+
+
 def test_transform_spec_requires_integral_n():
     rotor = rotor_spatial([0, 0, 1.0], 0.4)
     with pytest.raises(ValueError, match="integer"):
