@@ -3,9 +3,9 @@
 A ``Reflector(upper, lower)`` denotes the anti-diagonal 2x2 block matrix
 [[0, upper], [lower, 0]]; a ``Rotator(upper, lower)`` the diagonal one
 [[upper, 0], [0, lower]].  Multiplication follows a parity rule enforced
-by the types: the product of two reflectors (or two rotators) is a
-rotator, while a mixed product is a reflector.  Sums of mixed shapes are
-deliberately not provided.
+by the types, with one home in ``_block_mul``: the product of two
+reflectors (or two rotators) is a rotator, while a mixed product is a
+reflector.  Sums of mixed shapes are deliberately not provided.
 
 The quaternion-valued trace of a rotator is the sum of its diagonal
 blocks; the trace of any reflector is zero.  Under a similarity transform
@@ -117,15 +117,6 @@ class _Block:
 class Rotator(_Block):
     """Diagonal block matrix [[upper, 0], [0, lower]]."""
 
-    def __mul__(self, other):
-        if isinstance(other, Rotator):
-            return Rotator._of(self.upper * other.upper, self.lower * other.lower)
-        if isinstance(other, Reflector):
-            return Reflector._of(self.upper * other.upper, self.lower * other.lower)
-        if isinstance(other, _SCALARS):
-            return Rotator._of(self.upper * other, self.lower * other)
-        return NotImplemented
-
     def inverse(self) -> "Rotator":
         return Rotator._of(self.upper.inverse(), self.lower.inverse())
 
@@ -137,21 +128,33 @@ class Rotator(_Block):
 class Reflector(_Block):
     """Anti-diagonal block matrix [[0, upper], [lower, 0]]."""
 
-    def __mul__(self, other):
-        if isinstance(other, Reflector):
-            return Rotator._of(self.upper * other.lower, self.lower * other.upper)
-        if isinstance(other, Rotator):
-            return Reflector._of(self.upper * other.lower, self.lower * other.upper)
-        if isinstance(other, _SCALARS):
-            return Reflector._of(self.upper * other, self.lower * other)
-        return NotImplemented
-
     def inverse(self) -> "Reflector":
         return Reflector._of(self.lower.inverse(), self.upper.inverse())
 
     def trace(self) -> Quat:
         """The trace of any reflector is zero."""
         return Quat()
+
+
+def _block_mul(self, other):
+    """The parity rule: like shapes multiply to a rotator and mixed shapes
+    to a reflector; a reflector on the left meets the other block's entries
+    crossed.  A scalar multiplies both entries."""
+    if isinstance(other, _Block):
+        crossed = isinstance(self, Reflector)
+        kind = Rotator if crossed == isinstance(other, Reflector) else Reflector
+        if crossed:
+            return kind._of(self.upper * other.lower, self.lower * other.upper)
+        return kind._of(self.upper * other.upper, self.lower * other.lower)
+    if isinstance(other, _SCALARS):
+        return self._of(self.upper * other, self.lower * other)
+    return NotImplemented
+
+
+# one function bound on each class rather than inherited from _Block: the
+# layer tracer of the benchmark counts block products under the
+# class-qualified names Rotator.__mul__ and Reflector.__mul__
+Rotator.__mul__ = Reflector.__mul__ = _block_mul
 
 
 def identity_rotator() -> Rotator:

@@ -5,9 +5,9 @@ The current of a 4-column amplitude is the familiar bilinear
 (psi^H psi, psi^H alpha_r psi).  After translation, the same four scalars
 (temporal one divided by i) arise from the quaternion bispinors as
 temporal parts, and once more as the temporal part of the trace of the
-rotator K PhiS I_mu Phi built from reflector factors, with or without a
-transform of every factor by its law.  All three pipelines are kept
-separate so they can check each other; the harness compares them.
+rotator K PhiS I_mu Phi built from reflector factors.  All three pipelines
+are kept separate so they can check each other; the harness compares them.
+A transform of every factor by its law enters only ``current_divergence``.
 
 The block-trace factors K PhiS_a I_mu and Phi_b of all modes come from
 ``_current_factors`` at once.  The fixed blocks, K, I_mu and a transform's
@@ -183,13 +183,10 @@ def _current_factors(phi: np.ndarray, spec: TransformSpec | None = None):
     return left.reshape(len(phi), 4, 8), right.reshape(len(phi), 8)
 
 
-def block_current(
-    pair: BispinorPair, spec: TransformSpec | None = None
-) -> np.ndarray:
+def block_current(pair: BispinorPair) -> np.ndarray:
     """Current components as temporal trace of K PhiS I_mu Phi, one
-    contraction of the pair's factors with themselves.  A spec transforms
-    every factor by its law; the four scalars do not change."""
-    left, right = _current_factors(_stack_phi([pair]), spec)
+    contraction of the pair's factors with themselves."""
+    left, right = _current_factors(_stack_phi([pair]))
     return left[0] @ right[0]
 
 

@@ -204,12 +204,8 @@ def spinor_to_pair(amplitude, lift: str = "G") -> BispinorPair:
 
 def _check_ideal(q: Quat, sign: int) -> None:
     resid = q * _FACTORS[sign] - 2.0 * q
-    size = q.max_abs()
-    if isinstance(size, np.ndarray):
-        inside = (resid.max_abs() <= _IDEAL_TOL * np.maximum(1.0, size)).all()
-    else:
-        inside = resid.max_abs() <= _IDEAL_TOL * max(1.0, size)
-    if not inside:  # NaN fails too
+    inside = resid.max_abs() <= _IDEAL_TOL * np.maximum(1.0, q.max_abs())
+    if not np.all(inside):  # NaN fails too
         raise IdealViolation(
             "quaternion is not in the (1 %+d*i*i3) ideal" % sign
         )
@@ -248,17 +244,24 @@ def momentum_symbol(mode: PlaneWaveMode) -> tuple[Quat, Quat]:
     return sym, sym.quat_conj()
 
 
+def _equations(sym: Quat, fd: FieldData):
+    """The equation pair for the momentum symbol P = ``sym``, as the map
+    (phi1, phi2) -> ((P - iA)^c phi1 - phi2 M, (P - iA) phi2 + phi1 M^c)."""
+    coupled = sym - 1j * fd.euclidean_potential
+    m = Quat(fd.euclidean_mass)
+    coupled_c, m_c = coupled.quat_conj(), m.quat_conj()
+
+    def residuals(phi1: Quat, phi2: Quat) -> tuple[Quat, Quat]:
+        return coupled_c * phi1 - phi2 * m, coupled * phi2 + phi1 * m_c
+
+    return residuals
+
+
 def pair_residual(
     pair: BispinorPair, mode: PlaneWaveMode, fd: FieldData
 ) -> tuple[Quat, Quat]:
     """Residuals of the two quaternion equations; (0, 0) exactly on solutions."""
-    sym, _ = momentum_symbol(mode)
-    a = fd.euclidean_potential
-    m = Quat(fd.euclidean_mass)
-    coupled = sym - 1j * a
-    r1 = coupled.quat_conj() * pair.phi1 - pair.phi2 * m
-    r2 = coupled * pair.phi2 + pair.phi1 * m.quat_conj()
-    return r1, r2
+    return _equations(_symbol(mode.energy, mode.momentum), fd)(pair.phi1, pair.phi2)
 
 
 @dataclass(frozen=True)
@@ -361,19 +364,12 @@ def pair_system_matrix(
     independent of the eigensolver.
     """
     _, project, _ = _lift_convention(lift)
-    basis = _BASIS_PAIRS[lift]
-    sym = _symbol(energy, np.asarray(p, dtype=float))
-    a = fd.euclidean_potential
-    m = Quat(fd.euclidean_mass)
-    coupled = sym - 1j * a
-    coupled_c, m_c = coupled.quat_conj(), m.quat_conj()
-    stack = np.broadcast_shapes(np.shape(coupled.temporal), np.shape(m.temporal))
-    out = np.empty(stack + (4, 4), dtype=complex)
-    for j, (phi1, phi2) in enumerate(basis):
-        out[..., :2, j] = project(coupled_c * phi1 - phi2 * m)
-        out[..., 2:, j] = project(coupled * phi2 + phi1 * m_c)
-    out /= 2.0
-    return out
+    residuals = _equations(_symbol(energy, np.asarray(p, dtype=float)), fd)
+    columns = [
+        np.concatenate([project(r) for r in residuals(phi1, phi2)], axis=-1)
+        for phi1, phi2 in _BASIS_PAIRS[lift]
+    ]
+    return np.stack(columns, axis=-1) / 2.0
 
 
 def _basis_pairs(lift: str) -> tuple[tuple[Quat, Quat], ...]:

@@ -212,12 +212,7 @@ class Quat:
     def max_abs(self):
         """Largest component modulus; NaN when any component is NaN.  A stack
         gives one value per member."""
-        a = self._c
-        if type(a[0]) is not complex:
-            return _max_abs(a)
-        # _max_abs's scalar path, inline: the harness calls this per residual
-        moduli = list(map(abs, a))
-        return math.nan if math.isnan(sum(moduli)) else max(moduli)
+        return _max_abs(self._c)
 
 
 def _of(a0: complex, a1: complex, a2: complex, a3: complex) -> Quat:

@@ -77,16 +77,11 @@ def lift_L(v) -> Quat:
 
 def vec_to_quat(v) -> Quat:
     """Coordinate relabelling of a length-4 complex vector as a quaternion."""
-    if isinstance(v, np.ndarray) and v.ndim > 1:
-        return Quat(*_last_axis(v))
-    return Quat(v[0], v[1], v[2], v[3])
+    return Quat(*_last_axis(np.asarray(v)))
 
 
 def quat_to_vec(q: Quat) -> np.ndarray:
-    c = q.components
-    if isinstance(c[0], np.ndarray):
-        return np.stack(c, axis=-1)
-    return np.array(c, dtype=complex)
+    return np.stack(q.components, axis=-1)
 
 
 def ideal_factor(sign: int = 1) -> Quat:

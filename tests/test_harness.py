@@ -143,7 +143,7 @@ def test_grids_are_component_major_accurate_and_small():
 )
 def test_sample_quat_mode_rejects_bad_input(field, energy, momentum):
     with pytest.raises(ValueError, match="^%s must be" % field):
-        hz.sample_quat_mode(_AMPLITUDE, energy, momentum)
+        hz.sample_quat_mode(_AMPLITUDE, energy, momentum, (5,) * 4, _SPACING)
 
 
 def _current_component_grids(solutions, shape, spacing):
@@ -319,7 +319,6 @@ def test_nan_residual_fails(monkeypatch):
     assert {c["name"]: c["max_residual"] for c in cases}["fg_identity"] == "nan"
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_overflowing_product_fails(monkeypatch, capsys):
     # products are not checked for finiteness: inf - inf reaches the residual
     # as NaN and fails the case
@@ -330,6 +329,20 @@ def test_overflowing_product_fails(monkeypatch, capsys):
     cases = {c["name"]: c for c in json.loads(capsys.readouterr().out)["cases"]}
     assert cases["associativity"]["max_residual"] == "nan"
     assert cases["associativity"]["pass"] is False
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_stack_fails_quietly(monkeypatch, capsys):
+    # a stacked case overflows as quietly as a scalar one: no NumPy warning,
+    # and the inf or NaN residual fails the case instead of raising
+    big = Quat(1e200j, 1e200, 1e200, 1e200)
+    monkeypatch.setattr(hz, "rand_euclidean_quat", lambda rng: big)
+    code = cli.main(["verify", "invariance", "--trials", "3", "--format", "json"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "raised" not in captured.err
+    cases = {c["name"]: c for c in json.loads(captured.out)["cases"]}
+    assert cases["interval_preservation"]["pass"] is False
 
 
 def test_guards_fail_on_nan(monkeypatch):

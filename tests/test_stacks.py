@@ -9,6 +9,7 @@ import pytest
 from qdirac import dirac as dr
 from qdirac import spinor_maps as sm
 from qdirac.blocks import Reflector, Rotator, block_power
+from qdirac.harness import SuiteConfig, run_suite
 from qdirac.quaternion import ONE, Quat, SingularQuaternion, _of
 from qdirac.transforms import (
     TransformSpec,
@@ -22,6 +23,14 @@ COUNT = 12
 # NumPy's complex multiply fuses a multiply and an add where Python's does
 # not, so a stack and a call per trial agree to rounding, not bitwise
 REL = 1e-14
+
+
+def test_one_member_stack_stays_a_stack():
+    # complex() refuses an array of one or more dimensions, even of one entry
+    assert Quat(np.array([1.0]), 0, 0, 0).max_abs().shape == (1,)
+    assert sm.lift_G(np.ones((1, 2))).max_abs().shape == (1,)
+    # so a one-trial run stacks each case's trials as a one-member stack
+    assert run_suite(SuiteConfig(suite="all", trials=1)).passed
 
 
 def _unit3(rng):
