@@ -164,11 +164,12 @@ def identity_rotator() -> Rotator:
 def block_power(r: Rotator, n: int) -> Rotator:
     """Integer power of a rotator, or of each member of a stack of rotators;
     negative powers use block inverses.  The zeroth power is the identity,
-    which broadcasts against a stack."""
+    of the stack's shape for a stack."""
     if n < 0:
         return block_power(r.inverse(), -n)
     if n == 0:
-        return identity_rotator()
+        one = Quat((r.upper.temporal * r.lower.temporal) ** 0)
+        return Rotator._of(one, one)
     out = r
     for _ in range(n - 1):
         out = out * r

@@ -12,12 +12,12 @@ Each suite is an ordered list of cases.  A case is a generator that draws
 its instances from a counter-based generator keyed by (seed, suite, case
 name), so it draws the same instances under ``all`` as under its own suite,
 and yields one residual per check; ``_run_case`` reduces them to the
-largest.  The cases of the invariance, equivalence and symmetries suites
-first draw all their trials, reading the generator in the order of a loop
-over the trials, then make one library call per check on the stack of
-trials (see ``quaternion``) and yield its residuals trial by trial.  A
-case passes when that residual is at most its pinned tolerance.  Cases
-come in three kinds: only ``residual`` tolerances scale with
+largest.  The cases of the invariance, equivalence, symmetries, current,
+conservation and radiation suites first draw all their trials, reading the
+generator as a loop over the trials would, then make one library call per
+check on the stack (see ``quaternion``) and yield its residuals trial by
+trial.  A case passes when that residual is at most its pinned tolerance.
+Cases come in three kinds: only ``residual`` tolerances scale with
 ``cfg.tol / 1e-10``, while ``guard`` cases (yield 0 or 1, and 1 when the
 guarded quantity is NaN) and ``order`` cases (yield the gap of a
 convergence ratio from 4) keep theirs.  A case fails when any residual is
@@ -445,14 +445,14 @@ def _draw_state_and_rotor(rng, with_potential: bool = True):
 
 def _stack(draws):
     """One trial's draws after another as one stack over the trials: a
-    ``Quat`` of component arrays, a ``FieldData`` of mass and potential
-    arrays, or an array with the trials first."""
+    ``Quat`` of component arrays, a ``FieldData`` or ``RadiationMode`` of
+    stacked fields, or an array with the trials first."""
     first = draws[0]
     if isinstance(first, Quat):
         return Quat(*np.array([q.components for q in draws]).T)
-    if isinstance(first, dr.FieldData):
-        mass = np.array([fd.mass for fd in draws])
-        return dr.FieldData(mass, np.array([fd.potential for fd in draws]))
+    if isinstance(first, (dr.FieldData, cur.RadiationMode)):
+        fields = [[getattr(d, f.name) for d in draws] for f in dataclasses.fields(first)]
+        return type(first)(*map(_stack, fields))
     return np.array(draws)
 
 
@@ -464,14 +464,29 @@ def _trials(rng, count: int, draw) -> list:
     return [_stack(column) for column in zip(*rows)]
 
 
-def _states(fd: dr.FieldData, p: np.ndarray, pick: np.ndarray) -> dr.DiracState:
-    """The stacked states of the stacked draws of ``_draw_state``: mode
+def _modes(fd: dr.FieldData, p: np.ndarray, pick: np.ndarray) -> dr.PlaneWaveMode:
+    """The stacked mode of the stacked draws of ``_draw_state``: mode
     ``pick`` of each trial's four plane-wave modes."""
     modes = dr.plane_wave_modes(p, fd)
     rows = np.arange(len(pick))
     energy = np.stack([mode.energy for mode in modes], axis=-1)[rows, pick]
     amplitude = np.stack([mode.amplitude for mode in modes], axis=-2)[rows, pick]
-    return dr.state_from_mode(dr.PlaneWaveMode(energy, p, amplitude), fd)
+    return dr.PlaneWaveMode(energy, p, amplitude)
+
+
+def _states(fd: dr.FieldData, p: np.ndarray, pick: np.ndarray) -> dr.DiracState:
+    return dr.state_from_mode(_modes(fd, p, pick), fd)
+
+
+def _draw_solutions(rng, count: int) -> list:
+    """Momentum and pick of ``count`` modes, as ``rand_solution`` draws them."""
+    return [x for _ in range(count) for x in (rand_momentum(rng), rng.integers(4))]
+
+
+def _solutions(fd: dr.FieldData, draws) -> list:
+    """(pair, mode) stacks of the stacked draws of ``_draw_solutions``."""
+    modes = [_modes(fd, p, pick) for p, pick in zip(draws[::2], draws[1::2])]
+    return [(dr.spinor_to_pair(mode.amplitude), mode) for mode in modes]
 
 
 def _n_draws(cfg) -> list[int]:
@@ -786,10 +801,8 @@ def _case_identity_pattern(rng, cfg):
 # ---------------------------------------------------------------------------
 # invariance suite (four-vector laws, boosts, exponent-n transformation)
 #
-# The cases of this suite, and of the equivalence and symmetries suites, draw
-# all their trials first with ``_trials`` and then make one stacked library
-# call per check.  The oracles (``_matrix_oracle`` and the closed forms) are
-# evaluated per trial in the draw pass.
+# The oracles (``_matrix_oracle`` and the closed forms) of the stacked cases
+# run per trial in the draw pass of ``_trials``.
 
 def _case_boost_unit_time(rng, cfg):
     unit_time = minkowski_to_quat([1.0, 0, 0, 0])
@@ -1083,13 +1096,14 @@ def _case_charge_conjugation_flips_potential(rng, cfg):
 # current suite
 
 def _case_current_pipelines(rng, cfg):
-    for _ in range(cfg.trials):
-        psi = rand_complex_vec(rng, 4)
-        pair = dr.spinor_to_pair(psi)
-        from_pair = cur.pair_current(pair)
+    psi = _rand_spinors(rng, cfg)
+    pair = dr.spinor_to_pair(psi)
+    from_pair = cur.pair_current(pair)
+    yield from _per_trial(
         # the column bilinears in Euclidean components
-        yield _max_abs(from_pair - cur.spinor_current(psi) / [1j, 1, 1, 1])
-        yield _max_abs(cur.block_current(pair) - from_pair)
+        _trial_max(from_pair - cur.spinor_current(psi) / [1j, 1, 1, 1]),
+        _trial_max(cur.block_current(pair) - from_pair),
+    )
 
 
 def _case_current_rest_frame(rng, cfg):
@@ -1098,24 +1112,27 @@ def _case_current_rest_frame(rng, cfg):
 
 
 def _case_current_scaling(rng, cfg):
-    for _ in range(cfg.trials):
-        psi = rand_complex_vec(rng, 4)
-        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        j1 = cur.pair_current(dr.spinor_to_pair(psi))
-        j2 = cur.pair_current(dr.spinor_to_pair(c * psi))
-        yield _max_abs(j2 - abs(c) ** 2 * j1)
+    def draw(rng):
+        return rand_complex_vec(rng, 4), complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    psi, c = _trials(rng, cfg.trials, draw)
+    j1 = cur.pair_current(dr.spinor_to_pair(psi))
+    j2 = cur.pair_current(dr.spinor_to_pair(c[:, None] * psi))
+    yield from _trial_max(j2 - (abs(c) ** 2)[:, None] * j1).tolist()
     yield _max_abs(cur.pair_current(dr.spinor_to_pair(np.zeros(4, dtype=complex))))
 
 
 def _case_current_density_positive(rng, cfg):
-    for _ in range(cfg.trials):
-        psi = rand_complex_vec(rng, 4)
-        if not cur.spinor_current(psi)[0] >= 0:  # NaN fails too
+    psi = _rand_spinors(rng, cfg)
+    positive = cur.spinor_current(psi)[:, 0] >= 0  # NaN fails too
+    # Euclidean temporal component is purely imaginary, spatial real
+    je = cur.pair_current(dr.spinor_to_pair(psi))
+    real, imag = np.abs(je[:, 0].real).tolist(), _trial_max(je[:, 1:].imag).tolist()
+    for good, re, im in zip(positive.tolist(), real, imag):
+        if not good:
             yield 1.0
-        # Euclidean temporal component is purely imaginary, spatial real
-        je = cur.pair_current(dr.spinor_to_pair(psi))
-        yield abs(je[0].real)
-        yield _max_abs(je[1:].imag)
+        yield re
+        yield im
 
 
 def _case_current_covariance(rng, cfg):
@@ -1135,25 +1152,33 @@ def _case_current_covariance(rng, cfg):
 # ---------------------------------------------------------------------------
 # conservation suite
 
+def _mode_divergence(rng, trials: int, count: int):
+    """``current_divergence`` of a field and ``count`` modes per trial."""
+
+    def draw(rng):
+        return rand_field(rng), *_draw_solutions(rng, count)
+
+    fd, *draws = _trials(rng, trials, draw)
+    return cur.current_divergence(_solutions(fd, draws), fd).tolist()
+
+
 def _case_single_mode_divergence(rng, cfg):
-    for _ in range(max(1, cfg.trials // 10)):
-        fd = rand_field(rng)
-        yield cur.current_divergence([rand_solution(rng, fd)], fd)
+    yield from _mode_divergence(rng, max(1, cfg.trials // 10), 1)
 
 
 def _case_two_mode_divergence(rng, cfg):
-    for _ in range(cfg.trials):
-        fd = rand_field(rng)
-        solutions = [rand_solution(rng, fd) for _ in range(2)]
-        yield cur.current_divergence(solutions, fd)
+    yield from _mode_divergence(rng, cfg.trials, 2)
 
 
 def _case_transformed_divergence(rng, cfg):
-    for n in _n_draws(cfg):
-        fd = rand_field(rng)
-        spec = tr.TransformSpec(rand_rotor(rng), n)
-        solutions = [rand_solution(rng, fd) for _ in range(2)]
-        yield cur.current_divergence(solutions, fd, spec=spec)
+    def draw(rng):
+        return rand_field(rng), rand_rotor(rng), *_draw_solutions(rng, 2)
+
+    # the trials of one exponent are consecutive: one stack per exponent
+    for n, block in itertools.groupby(_n_draws(cfg)):
+        fd, rotor, *draws = _trials(rng, len(list(block)), draw)
+        spec = tr.TransformSpec(rotor, n)
+        yield from cur.current_divergence(_solutions(fd, draws), fd, spec).tolist()
 
 
 def _case_off_shell_guard(rng, cfg):
@@ -1254,9 +1279,8 @@ def _rand_radiation_field(rng, count=3) -> tuple[cur.RadiationMode, ...]:
 
 
 def _case_radiation_solve(rng, cfg):
-    for _ in range(cfg.trials):
-        source = _rand_radiation_field(rng)
-        yield cur.radiation_residual(source, cur.solve_potential(source))
+    source = _trials(rng, cfg.trials, _rand_radiation_field)
+    yield from cur.radiation_residual(source, cur.solve_potential(source)).tolist()
 
 
 def _case_radiation_example(rng, cfg):
@@ -1276,10 +1300,12 @@ def _case_lightlike_guard(rng, cfg):
 
 
 def _case_radiation_transformed(rng, cfg):
-    for _ in range(cfg.trials):
-        source = _rand_radiation_field(rng)
-        potential = cur.solve_potential(source)
-        yield cur.radiation_residual(source, potential, rand_rotor(rng))
+    def draw(rng):
+        return *_rand_radiation_field(rng), rand_rotor(rng)
+
+    *source, rotor = _trials(rng, cfg.trials, draw)
+    potential = cur.solve_potential(source)
+    yield from cur.radiation_residual(source, potential, rotor).tolist()
 
 
 def _case_dalembertian_fd(rng, cfg):

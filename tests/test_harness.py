@@ -353,7 +353,7 @@ def test_guards_fail_on_nan(monkeypatch):
         hz, "_smallest_singular_values", lambda systems: np.full(len(systems), np.nan)
     )
     monkeypatch.setattr(Quat, "spatial", property(lambda self: _of(nan, nan, nan, nan)))
-    monkeypatch.setattr(cur, "spinor_current", lambda psi: np.full(4, np.nan))
+    monkeypatch.setattr(cur, "spinor_current", lambda psi: np.full(np.shape(psi), np.nan))
     for suite, name in (
         ("equivalence", "off_eigenvalue_nonsingular"),
         ("invariance", "mass_four_vector"),
@@ -522,10 +522,11 @@ def test_cli_n_set_accepts_leading_negative():
 
 
 # ---------------------------------------------------------------------------
-# The invariance, equivalence and symmetries cases draw all their trials and
-# then make one stacked library call per check.  These are the loops they
-# replaced, one library call per trial.  Both read the generator in the same
-# order, so they must yield the same residuals up to rounding.
+# The invariance, equivalence, symmetries, current, conservation and radiation
+# cases draw all their trials and then make one stacked library call per
+# check.  These are the loops they replaced, one library call per trial.  Both
+# read the generator in the same order, so they must yield the same residuals
+# up to rounding.
 
 def _loop_state(rng, with_potential: bool = True) -> dr.DiracState:
     fd = hz.rand_field(rng, with_potential=with_potential)
@@ -740,6 +741,90 @@ def _loop_charge_conjugation_flips_potential(rng, cfg):
         yield (image.a - (-state.a)).max_abs()
 
 
+def _loop_current_pipelines(rng, cfg):
+    for _ in range(cfg.trials):
+        psi = hz.rand_complex_vec(rng, 4)
+        pair = dr.spinor_to_pair(psi)
+        from_pair = cur.pair_current(pair)
+        # the column bilinears in Euclidean components
+        yield hz._max_abs(from_pair - cur.spinor_current(psi) / [1j, 1, 1, 1])
+        yield hz._max_abs(cur.block_current(pair) - from_pair)
+
+
+def _loop_current_scaling(rng, cfg):
+    for _ in range(cfg.trials):
+        psi = hz.rand_complex_vec(rng, 4)
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        j1 = cur.pair_current(dr.spinor_to_pair(psi))
+        j2 = cur.pair_current(dr.spinor_to_pair(c * psi))
+        yield hz._max_abs(j2 - abs(c) ** 2 * j1)
+    yield hz._max_abs(cur.pair_current(dr.spinor_to_pair(np.zeros(4, dtype=complex))))
+
+
+def _loop_current_density_positive(rng, cfg):
+    for _ in range(cfg.trials):
+        psi = hz.rand_complex_vec(rng, 4)
+        if not cur.spinor_current(psi)[0] >= 0:  # NaN fails too
+            yield 1.0
+        # Euclidean temporal component is purely imaginary, spatial real
+        je = cur.pair_current(dr.spinor_to_pair(psi))
+        yield abs(je[0].real)
+        yield hz._max_abs(je[1:].imag)
+
+
+def _loop_single_mode_divergence(rng, cfg):
+    for _ in range(max(1, cfg.trials // 10)):
+        fd = hz.rand_field(rng)
+        yield cur.current_divergence([hz.rand_solution(rng, fd)], fd)
+
+
+def _loop_two_mode_divergence(rng, cfg):
+    for _ in range(cfg.trials):
+        fd = hz.rand_field(rng)
+        solutions = [hz.rand_solution(rng, fd) for _ in range(2)]
+        yield cur.current_divergence(solutions, fd)
+
+
+def _loop_transformed_draws(rng, cfg):
+    """The field, spec and solutions of each trial of the loop below."""
+    for n in hz._n_draws(cfg):
+        fd = hz.rand_field(rng)
+        spec = tr.TransformSpec(hz.rand_rotor(rng), n)
+        solutions = [hz.rand_solution(rng, fd) for _ in range(2)]
+        yield fd, spec, solutions
+
+
+def _loop_transformed_divergence(rng, cfg):
+    for fd, spec, solutions in _loop_transformed_draws(rng, cfg):
+        yield cur.current_divergence(solutions, fd, spec=spec)
+
+
+def _loop_radiation_field(rng, count=3) -> tuple[cur.RadiationMode, ...]:
+    modes = []
+    for _ in range(count):
+        while True:
+            omega = rng.uniform(-2.0, 2.0)
+            k = hz.rand_momentum(rng)
+            s = omega**2 - float(k @ k)
+            if abs(s) > 0.05:
+                break
+        modes.append(cur.RadiationMode(hz.rand_euclidean_quat(rng), omega, k))
+    return tuple(modes)
+
+
+def _loop_radiation_solve(rng, cfg):
+    for _ in range(cfg.trials):
+        source = _loop_radiation_field(rng)
+        yield cur.radiation_residual(source, cur.solve_potential(source))
+
+
+def _loop_radiation_transformed(rng, cfg):
+    for _ in range(cfg.trials):
+        source = _loop_radiation_field(rng)
+        potential = cur.solve_potential(source)
+        yield cur.radiation_residual(source, potential, hz.rand_rotor(rng))
+
+
 _LOOPS = {
     ("invariance", "boost_unit_time"): _loop_boost_unit_time,
     ("invariance", "four_vector_vs_matrix"): _loop_four_vector_vs_matrix,
@@ -762,17 +847,35 @@ _LOOPS = {
     ("symmetries", "charge_conjugation_flips_potential"): (
         _loop_charge_conjugation_flips_potential
     ),
+    ("current", "current_pipelines"): _loop_current_pipelines,
+    ("current", "current_scaling"): _loop_current_scaling,
+    ("current", "current_density_positive"): _loop_current_density_positive,
+    ("conservation", "single_mode_divergence"): _loop_single_mode_divergence,
+    ("conservation", "two_mode_divergence"): _loop_two_mode_divergence,
+    ("conservation", "transformed_divergence"): _loop_transformed_divergence,
+    ("radiation", "radiation_solve"): _loop_radiation_solve,
+    ("radiation", "radiation_transformed"): _loop_radiation_transformed,
 }
 
 
 def test_every_stacked_case_has_its_loop():
-    stacked = {
-        (suite, case.name)
-        for suite in ("invariance", "equivalence", "symmetries")
-        for case in hz.SUITES[suite]
+    suites = ("invariance", "equivalence", "symmetries", "current", "conservation",
+              "radiation")
+    cases = {(suite, case.name) for suite in suites for case in hz.SUITES[suite]}
+    assert cases - set(_LOOPS) == {
+        # these draw nothing
+        ("equivalence", "rest_frame_values"),
+        ("current", "current_rest_frame"),
+        ("conservation", "off_shell_guard"),
+        ("radiation", "lightlike_guard"),
+        # these draw one instance
+        ("radiation", "radiation_example"),
+        ("conservation", "fd_divergence_convergence"),
+        ("conservation", "fd_symbol_convergence"),
+        ("radiation", "dalembertian_fd"),
+        # still a loop: its oracle, _matrix_oracle, runs per trial
+        ("current", "current_covariance"),
     }
-    # rest_frame_values draws nothing
-    assert stacked - set(_LOOPS) == {("equivalence", "rest_frame_values")}
 
 
 class _Recorder:
@@ -806,8 +909,25 @@ def test_stacked_cases_match_their_loops(suite, name):
         want = list(_LOOPS[suite, name](loop_rng, cfg))
         assert rng.calls == loop_rng.calls, seed
         assert len(got) == len(want), seed
-        gap = np.max(np.abs(np.subtract(got, want)))
-        assert gap <= 1e-14, (seed, gap)
+        gap = np.abs(np.subtract(got, want))
+        if name == "transformed_divergence":
+            # its residuals are rounding amplified by |R|^(2|n|), up to 4e-13
+            # at n = 2: each trial against the size of the terms that cancel
+            draws = _loop_transformed_draws(hz.case_rng(seed, suite, name), cfg)
+            tol = 1e-14 * np.array([_divergence_scale(*draw) for draw in draws])
+        else:
+            tol = 1e-14
+        assert np.all(gap <= tol), (seed, np.max(gap))
+
+
+def _divergence_scale(fd, spec, solutions):
+    """The largest sum of |left[a, mu]| |right[b]| (|P_a| + |P_b|)_mu over the
+    mode pairs of one ``current_divergence``: the size of the terms that
+    cancel in its coefficients."""
+    syms, phi = cur._check_solutions(solutions, fd)
+    left, right = cur._current_factors(phi, spec)
+    sizes = np.abs(syms)[None] + np.abs(syms)[:, None]
+    return np.max(np.einsum("amk,bk,abm->ab", abs(left), abs(right), sizes))
 
 
 @pytest.mark.parametrize("with_potential", [True, False])

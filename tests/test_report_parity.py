@@ -18,15 +18,22 @@ def case_line(head, name, residual, passed=True):
 
 def test_verdicts_allow_residual_shifts_and_report_the_largest():
     head, all_head = "current seed=0 trials=25", "all seed=0 trials=25"
+    wide_head = "all seed=0 trials=25 --n=%s" % report_parity.WIDE_N
     rest = '%s {"pass": true, "suite": "current"}' % head
     under_all = case_line(all_head, "current/a", "4.0e-16")
-    parent = [case_line(head, "a", "1.0e-16"), under_all, rest]
-    change = [case_line(head, "a", "3.0e-16"), under_all, rest]
+    parent = [case_line(head, "a", "1.0e-16"), under_all, rest,
+              case_line(wide_head, "current/a", "1.0e-16")]
+    change = [case_line(head, "a", "3.0e-16"), under_all, rest,
+              case_line(wide_head, "current/a", "6.0e-16")]
     mismatched, shifts = report_parity.verdict_lines(parent, change)
     assert mismatched == []
-    # a suite report's case and the same case under "all" share one entry
+    # a suite report's case and the same case under "all", at any n set,
+    # share one entry
     assert list(shifts) == ["current/a"]
-    assert abs(shifts["current/a"] - 2e-16) < 1e-30
+    assert abs(shifts["current/a"] - 5e-16) < 1e-30
+    # the n set is part of the head, so a line run at another n set mismatches
+    mismatched, _ = report_parity.verdict_lines(parent[3:], [under_all])
+    assert mismatched == [parent[3], under_all]
 
 
 def test_verdicts_reject_a_changed_pass_or_a_missing_line():

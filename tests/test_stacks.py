@@ -1,11 +1,13 @@
-"""Stacks of trials through the quaternion, block, transform and dirac
-layers, against one call per trial."""
+"""Stacks of trials through the quaternion, block, transform, dirac and
+current layers, against one call per trial."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from qdirac import current as cur
 from qdirac import dirac as dr
 from qdirac import spinor_maps as sm
 from qdirac.blocks import Reflector, Rotator, block_power
@@ -309,3 +311,153 @@ def test_stacked_guards():
         hash(stack)
     with pytest.raises(TypeError):
         Reflector(stack, ONE) == Reflector(stack, ONE)
+
+
+def _solution_stacks(seed=7):
+    """Two zero-potential solution modes per trial, as stacks and per trial,
+    with the stacked field and the fields per trial."""
+    rng = np.random.default_rng(seed)
+    mass = rng.uniform(0.1, 2.0, COUNT)
+    stacked = dr.FieldData(mass, np.zeros((COUNT, 4)))
+    stacks = []
+    for pick in (3, 0):
+        mode = dr.plane_wave_modes(rng.uniform(-2, 2, (COUNT, 3)), stacked)[pick]
+        stacks.append((dr.spinor_to_pair(mode.amplitude), mode))
+    per_trial = [
+        [
+            (dr.spinor_to_pair(mode.amplitude[k]),
+             dr.PlaneWaveMode(mode.energy[k], mode.momentum[k], mode.amplitude[k]))
+            for _, mode in stacks
+        ]
+        for k in range(COUNT)
+    ]
+    return stacks, stacked, per_trial, [dr.FieldData(m) for m in mass]
+
+
+def _divergence_scale(solutions, fd, spec) -> float:
+    """A bound on the terms that cancel in the divergence coefficients of one
+    trial: 64 max|left| max|right| max|P|."""
+    syms, phi = cur._check_solutions(solutions, fd)
+    left, right = cur._current_factors(phi, spec)
+    return 64 * np.max(np.abs(left)) * np.max(np.abs(right)) * np.max(np.abs(syms))
+
+
+def test_stacked_currents_match_per_item():
+    _, _, _, psi, _ = _draws(8)
+    other = np.roll(psi, 1, axis=0)
+    pairs, others = dr.spinor_to_pair(psi), dr.spinor_to_pair(other)
+    items = [dr.spinor_to_pair(x) for x in psi]
+    other_items = [dr.spinor_to_pair(x) for x in other]
+    for got, want in (
+        (cur.spinor_current(psi), [cur.spinor_current(x) for x in psi]),
+        (cur.pair_current(pairs), [cur.pair_current(p) for p in items]),
+        (cur.pair_current(pairs, others),
+         [cur.pair_current(p, q) for p, q in zip(items, other_items)]),
+        (cur.block_current(pairs), [cur.block_current(p) for p in items]),
+    ):
+        assert got.shape == (COUNT, 4)
+        _assert_matches(got, want)
+
+
+def test_stacked_divergence_matches_per_item():
+    stacks, stacked, per_trial, fields = _solution_stacks()
+    _, _, _, _, rotors = _draws(9)
+    specs = [None] + [TransformSpec(_quats(rotors), n) for n in (-1, 0, 1, 2)]
+    for spec in specs:
+        got = cur.current_divergence(stacks, stacked, spec)
+        assert got.shape == (COUNT,)
+        for k, (solutions, fd) in enumerate(zip(per_trial, fields)):
+            spec_k = None if spec is None else TransformSpec(rotors[k], spec.n)
+            want = cur.current_divergence(solutions, fd, spec_k)
+            assert isinstance(want, float)
+            scale = _divergence_scale(solutions, fd, spec_k)
+            assert abs(got[k] - want) <= REL * scale, (spec, k)
+            assert got[k] < 1e-12
+    # one superposition under a stack of rotors
+    got = cur.current_divergence(per_trial[0], fields[0], specs[2])
+    want = [
+        cur.current_divergence(per_trial[0], fields[0], TransformSpec(r, 0))
+        for r in rotors
+    ]
+    assert got.shape == (COUNT,) and np.max(np.abs(got - want)) <= 1e-14
+
+
+def _radiation_stacks(seed=10):
+    """Three radiation modes per trial off the light cone, as stacks and per
+    trial."""
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for _ in range(3):
+        k = rng.uniform(-1, 1, (COUNT, 3))
+        omega = np.sqrt(np.sum(k * k, axis=-1)) + rng.choice((-1, 1), COUNT) * 0.5
+        u = rng.uniform(-1, 1, (4, COUNT))
+        stacks.append(cur.RadiationMode(Quat(1j * u[0], *u[1:]), omega, k))
+    per_trial = [
+        tuple(
+            cur.RadiationMode(Quat(*(z[j] for z in m.amplitude.components)),
+                              m.omega[j], m.wavevector[j])
+            for m in stacks
+        )
+        for j in range(COUNT)
+    ]
+    return tuple(stacks), per_trial
+
+
+def test_stacked_radiation_matches_per_item():
+    source, items = _radiation_stacks()
+    _, _, _, _, rotors = _draws(11)
+    potential = cur.solve_potential(source)
+    item_potentials = [cur.solve_potential(item) for item in items]
+    for k, mode in enumerate(potential):
+        _assert_matches(mode.amplitude, [p[k].amplitude for p in item_potentials])
+    for rotor, rotor_k in ((None, [None] * COUNT), (_quats(rotors), rotors)):
+        got = cur.radiation_residual(source, potential, rotor)
+        want = [
+            cur.radiation_residual(item, p, r)
+            for item, p, r in zip(items, item_potentials, rotor_k)
+        ]
+        assert got.shape == (COUNT,) and all(isinstance(w, float) for w in want)
+        # the residual's terms are of the size of the source amplitude
+        scale = max(max(m.amplitude.max_abs()) for m in source)
+        assert np.max(np.abs(got - want)) <= REL * scale
+
+
+@pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
+def test_stacked_current_guards():
+    stacks, stacked, _, _ = _solution_stacks()
+    # one off-shell member names its trial and mode
+    (pair, mode), second = stacks
+    energy = mode.energy.copy()
+    energy[5] += 0.5
+    off = dr.PlaneWaveMode(energy, mode.momentum, mode.amplitude)
+    message = "mode 0 of trial (5,) with energy %g " % energy[5]
+    with pytest.raises(cur.NotASolution, match=re.escape(message)):
+        cur.current_divergence([(pair, off), second], stacked)
+    # so does a NaN in one member
+    comps = [z.copy() for z in second[0].phi1.components]
+    comps[2][8] = math.nan
+    nan_pair = dr.BispinorPair(_of(*comps), second[0].phi2)
+    with pytest.raises(cur.NotASolution, match=re.escape("mode 1 of trial (8,) ")):
+        cur.current_divergence([(pair, mode), (nan_pair, second[1])], stacked)
+    source, _ = _radiation_stacks()
+    # one lightlike member
+    k = source[1].wavevector
+    omega = source[1].omega.copy()
+    omega[4] = np.sqrt(k[4] @ k[4])
+    lightlike = cur.RadiationMode(source[1].amplitude, omega, k)
+    with pytest.raises(cur.LightlikeMode, match=r"member \(4,\)"):
+        cur.solve_potential((source[0], lightlike))
+    # one mismatched pair of modes
+    potential = cur.solve_potential(source)
+    omega = potential[2].omega.copy()
+    omega[6] += 1e-3
+    moved = cur.RadiationMode(potential[2].amplitude, omega, potential[2].wavevector)
+    with pytest.raises(ValueError, match="share omega and wavevector"):
+        cur.radiation_residual(source, potential[:2] + (moved,))
+    # a NaN in one member fails that member alone
+    comps = [z.copy() for z in potential[0].amplitude.components]
+    comps[1][3] = math.nan
+    first = potential[0]
+    nan_mode = cur.RadiationMode(_of(*comps), first.omega, first.wavevector)
+    got = cur.radiation_residual(source, (nan_mode,) + potential[1:])
+    assert np.isnan(got[3]) and np.all(np.delete(got, 3) < 1e-12)

@@ -3,14 +3,17 @@
     python tools/report_parity.py [--verdicts] PARENT CHANGE
 
 Runs ``qdirac verify --format json`` on every suite, ``all`` included, at
-seeds 0, 1 and 5 and trials 25, 100 and 200.  Each checkout runs in one
-child process that imports ``qdirac`` from the checkout's ``src/``.  The
-``elapsed`` fields, top-level and per case, are dropped, and each report
-becomes one line per case and one line for the rest.  The lines that differ
-are printed as a unified diff, PARENT first.  Exits 0 when the reports are
-identical and 1 when they are not.  Exits 2, with one line on stderr, when
-a checkout's child process cannot start or fails, for example when it
-cannot import ``qdirac``.
+seeds 0, 1 and 5 and trials 25, 100 and 200, and ``all`` once more at each
+seed and trial count with ``--n=-3,-2,-1,0,1,2,3``, whose lines carry the n
+set in their head: cases that group their trials by exponent differ from a
+per-trial loop only under n sets other than the default.  Each checkout
+runs in one child process that imports ``qdirac`` from the checkout's
+``src/``.  The ``elapsed`` fields, top-level and per case, are dropped, and
+each report becomes one line per case and one line for the rest.  The lines
+that differ are printed as a unified diff, PARENT first.  Exits 0 when the
+reports are identical and 1 when they are not.  Exits 2, with one line on
+stderr, when a checkout's child process cannot start or fails, for example
+when it cannot import ``qdirac``.
 
 With ``--verdicts`` the reports must agree in everything but the cases'
 ``max_residual``: the same lines in the same order, each case with the same
@@ -32,6 +35,7 @@ import sys
 
 SEEDS = (0, 1, 5)
 TRIALS = (25, 100, 200)
+WIDE_N = "-3,-2,-1,0,1,2,3"
 
 _CHILD = r"""
 import contextlib, io, json, pathlib, sys
@@ -41,18 +45,19 @@ from qdirac import cli, harness
 src = pathlib.Path(sys.argv[1]).resolve()
 if src not in pathlib.Path(qdirac.__file__).resolve().parents:
     sys.exit("qdirac imported from %s, not from %s" % (qdirac.__file__, src))
-seeds, trial_counts = json.loads(sys.argv[2])
+seeds, trial_counts, wide_n = json.loads(sys.argv[2])
 for seed in seeds:
     for trials in trial_counts:
-        for suite in harness.list_suites():
+        runs = [(suite, []) for suite in harness.list_suites()]
+        for suite, n_args in runs + [("all", ["--n=" + wide_n])]:
             out = io.StringIO()
             argv = ["verify", suite, "--seed", str(seed), "--trials", str(trials),
-                    "--format", "json"]
+                    "--format", "json", *n_args]
             with contextlib.redirect_stdout(out):
                 cli.main(argv)
             report = json.loads(out.getvalue())
             report.pop("elapsed")
-            head = "%s seed=%d trials=%d" % (suite, seed, trials)
+            head = " ".join(["%s seed=%d trials=%d" % (suite, seed, trials), *n_args])
             for case in report.pop("cases"):
                 case.pop("elapsed")
                 print(head, json.dumps(case, sort_keys=True))
@@ -70,7 +75,7 @@ def report_lines(checkout: pathlib.Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(src))
     try:
         done = subprocess.run(
-            [sys.executable, "-c", _CHILD, str(src), json.dumps([SEEDS, TRIALS])],
+            [sys.executable, "-c", _CHILD, str(src), json.dumps([SEEDS, TRIALS, WIDE_N])],
             cwd=checkout, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True,
         )
