@@ -12,20 +12,20 @@ Each suite is an ordered list of cases.  A case is a generator that draws
 its instances from a counter-based generator keyed by (seed, suite, case
 name), so it draws the same instances under ``all`` as under its own suite,
 and yields one residual per check; ``_run_case`` reduces them to the
-largest.  The cases of the invariance, equivalence, symmetries, current,
-conservation and radiation suites first draw all their trials, reading the
-generator as a loop over the trials would, then make one library call per
-check on the stack (see ``quaternion``) and yield its residuals trial by
-trial.  A case passes when that residual is at most its pinned tolerance.
+largest.  A case first draws all its trials, reading the generator as a
+loop over the trials would, then makes one library call per check on the
+stack (see ``quaternion``) and yields its residuals trial by trial; only
+``current/current_covariance`` still loops.  A case passes when that
+residual is at most its pinned tolerance.
 Cases come in three kinds: only ``residual`` tolerances scale with
 ``cfg.tol / 1e-10``, while ``guard`` cases (yield 0 or 1, and 1 when the
 guarded quantity is NaN) and ``order`` cases (yield the gap of a
 convergence ratio from 4) keep theirs.  A case fails when any residual is
 NaN or infinite, whatever the tolerance, when it yields none, or when it
-raises; the exception goes to stderr and the other cases still run.  Reports are deterministic for a fixed
-(suite, seed, config) up to the elapsed-time fields.  The ``qdirac``
-command exits 0 when every case passes, 1 when any fails and 2 on a usage
-or configuration error.
+raises; the exception goes to stderr and the other cases still run.
+Reports are deterministic for a fixed (suite, seed, config) up to the
+elapsed-time fields.  The ``qdirac`` command exits 0 when every case
+passes, 1 when any fails and 2 on a usage or configuration error.
 
 Independent oracles live here rather than in the library modules: the
 4x4 dense embedding for block products, rotation and boost matrices for
@@ -42,6 +42,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -54,7 +55,7 @@ from . import dirac as dr
 from . import quaternion as qt
 from . import spinor_maps as sm
 from . import transforms as tr
-from .quaternion import Quat
+from .quaternion import Quat, _last_axis
 
 __all__ = [
     "SuiteConfig",
@@ -259,38 +260,43 @@ def fd_apply_D(grid: Grid4, conjugate: bool = False) -> Grid4:
 # independent oracles
 
 def embed4(x) -> np.ndarray:
-    """Dense 4x4 complex embedding of a reflector or rotator."""
-    out = np.zeros((4, 4), dtype=complex)
-    if isinstance(x, bl.Rotator):
-        out[:2, :2] = qt.to_matrix(x.upper)
-        out[2:, 2:] = qt.to_matrix(x.lower)
-    else:
-        out[:2, 2:] = qt.to_matrix(x.upper)
-        out[2:, :2] = qt.to_matrix(x.lower)
+    """Dense 4x4 complex embedding of a block; (..., 4, 4) for a stack."""
+    upper, lower = qt.to_matrix(x.upper), qt.to_matrix(x.lower)
+    out = np.zeros(np.broadcast_shapes(upper.shape, lower.shape)[:-2] + (4, 4), complex)
+    col = 0 if isinstance(x, bl.Rotator) else 2  # the upper entry's first column
+    out[..., :2, col : col + 2], out[..., 2:, 2 - col : 4 - col] = upper, lower
     return out
 
 
-def rotation_matrix4(axis, angle: float) -> np.ndarray:
+def _matrix4(rows) -> np.ndarray:
+    """The matrix of 4x4 entries, numbers or arrays of one shape (..., 4, 4):
+    the matrices below take axes (..., 3) and angles (...) as well."""
+    m = np.array(rows, dtype=float)
+    return m.transpose(*range(2, m.ndim), 0, 1)
+
+
+def rotation_matrix4(axis, angle) -> np.ndarray:
     """Rotation of the spatial coordinates by ``angle`` about a unit axis:
     I + sin(angle) K + (1 - cos(angle)) K K, with K the cross-product matrix
     [[0, -z, y], [z, 0, -x], [-y, x, 0]] of the axis."""
-    x, y, z = (float(v) for v in axis)
-    s, t = math.sin(angle), 1 - math.cos(angle)
-    return np.array(
+    x, y, z = _last_axis(np.asarray(axis, dtype=float))
+    s, t = np.sin(angle), 1 - np.cos(angle)
+    o = 0.0 * t
+    return _matrix4(
         [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0 + t * (-z * z - y * y), -s * z + t * (y * x), s * y + t * (z * x)],
-            [0.0, s * z + t * (x * y), 1.0 + t * (-z * z - x * x), -s * x + t * (z * y)],
-            [0.0, -s * y + t * (x * z), s * x + t * (y * z), 1.0 + t * (-y * y - x * x)],
+            [o + 1.0, o, o, o],
+            [o, 1.0 + t * (-z * z - y * y), -s * z + t * (y * x), s * y + t * (z * x)],
+            [o, s * z + t * (x * y), 1.0 + t * (-z * z - x * x), -s * x + t * (z * y)],
+            [o, -s * y + t * (x * z), s * x + t * (y * z), 1.0 + t * (-y * y - x * x)],
         ]
     )
 
 
-def _time_axis_matrix4(axis, c: float, s_row: float, s_col: float) -> np.ndarray:
+def _time_axis_matrix4(axis, c, s_row, s_col) -> np.ndarray:
     """[[c, s_row a^T], [s_col a, I + (c - 1) a a^T]] for a unit axis a."""
-    x, y, z = (float(v) for v in axis)
+    x, y, z = _last_axis(np.asarray(axis, dtype=float))
     d = c - 1.0
-    return np.array(
+    return _matrix4(
         [
             [c, s_row * x, s_row * y, s_row * z],
             [s_col * x, 1.0 + d * (x * x), d * (x * y), d * (x * z)],
@@ -300,16 +306,16 @@ def _time_axis_matrix4(axis, c: float, s_row: float, s_col: float) -> np.ndarray
     )
 
 
-def temporal_rotation_matrix4(axis, angle: float) -> np.ndarray:
+def temporal_rotation_matrix4(axis, angle) -> np.ndarray:
     """Rotation of the plane of the temporal axis and (0, axis), turning the
     temporal axis toward (0, axis) for a positive angle."""
-    s = math.sin(angle)
-    return _time_axis_matrix4(axis, math.cos(angle), -s, s)
+    s = np.sin(angle)
+    return _time_axis_matrix4(axis, np.cos(angle), -s, s)
 
 
-def boost_matrix4(axis, rapidity: float) -> np.ndarray:
-    s = math.sinh(rapidity)
-    return _time_axis_matrix4(axis, math.cosh(rapidity), s, s)
+def boost_matrix4(axis, rapidity) -> np.ndarray:
+    s = np.sinh(rapidity)
+    return _time_axis_matrix4(axis, np.cosh(rapidity), s, s)
 
 
 def quat_to_minkowski(q: Quat) -> np.ndarray:
@@ -337,21 +343,20 @@ def minkowski_to_quat(v) -> Quat:
 def _matrix_oracle(rotor: Quat) -> np.ndarray:
     """Rotation matrix of a rotor whose spatial part is real, boost matrix of
     one whose temporal part is real and spatial part imaginary; any other
-    rotor, such as a rotation times a boost, raises ValueError."""
+    rotor, such as a rotation times a boost, raises ValueError.  A stack of
+    rotations or of boosts gives (..., 4, 4); a zero spatial part, zero axis."""
     c = np.array(rotor.components)
-    if not c[1:].imag.any():
-        direction = c[1:].real
-        norm = np.linalg.norm(direction)
-        angle = 2.0 * math.atan2(norm, c[0].real)
-        axis = direction / norm if norm > 0 else np.array([0.0, 0.0, 1.0])
-        return rotation_matrix4(axis, angle)
-    if c[0].imag or c[1:].real.any():
+    c = c.transpose(*range(1, c.ndim), 0)  # components last
+    c0, spatial = c[..., 0], c[..., 1:]
+    if not spatial.imag.any():
+        norm = np.linalg.norm(spatial.real, axis=-1)
+        axis = spatial.real / np.where(norm > 0, norm, 1.0)[..., None]
+        return rotation_matrix4(axis, 2.0 * np.arctan2(norm, c0.real))
+    if c0.imag.any() or spatial.real.any():
         raise ValueError("rotor is neither a rotation nor a boost: %r" % (rotor,))
-    direction = c[1:].imag
-    norm = np.linalg.norm(direction)
-    rapidity = 2.0 * math.asinh(norm) * (1.0 if c[0].real >= 0 else -1.0)
-    axis = direction / norm if norm > 0 else np.array([1.0, 0.0, 0.0])
-    return boost_matrix4(axis, rapidity)
+    norm = np.linalg.norm(spatial.imag, axis=-1)
+    axis = spatial.imag / np.where(norm > 0, norm, 1.0)[..., None]
+    return boost_matrix4(axis, np.copysign(2.0 * np.arcsinh(norm), c0.real))
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +369,11 @@ def case_rng(seed: int, suite: str, case: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def rand_complex_vec(rng, size: int) -> np.ndarray:
-    return rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
-
-
-def rand_complex_quat(rng) -> Quat:
-    return Quat(*rand_complex_vec(rng, 4))
-
-
-def rand_real_quat(rng) -> Quat:
-    return Quat(*rng.uniform(-1.0, 1.0, 4))
+def rand_complex_vec(rng, *shape: int) -> np.ndarray:
+    """Real and imaginary parts uniform in [-1, 1) in one call, drawn as a
+    loop of ``rand_complex_vec(rng, shape[-1])`` over the leading axes."""
+    u = rng.uniform(-1, 1, (*shape[:-1], 2, shape[-1]))
+    return u[..., 0, :] + 1j * u[..., 1, :]
 
 
 def rand_euclidean_quat(rng) -> Quat:
@@ -381,11 +381,14 @@ def rand_euclidean_quat(rng) -> Quat:
     return Quat(1j * u[0], u[1], u[2], u[3])
 
 
-def rand_invertible_quat(rng) -> Quat:
-    while True:
-        q = rand_complex_quat(rng)
-        if abs(q.modulus()) > 0.1:
-            return q
+def _rand_invertible(rng, count: int = 1) -> np.ndarray:
+    """``count`` rand_complex_vec(rng, 4) draws, each redrawn until |modulus| > 0.1."""
+    rows = []
+    while len(rows) < count:
+        z = rand_complex_vec(rng, 4)
+        if abs(Quat(*z).modulus()) > 0.1:
+            rows.append(z)
+    return np.array(rows)
 
 
 def rand_unit3(rng) -> np.ndarray:
@@ -454,6 +457,11 @@ def _stack(draws):
         fields = [[getattr(d, f.name) for d in draws] for f in dataclasses.fields(first)]
         return type(first)(*map(_stack, fields))
     return np.array(draws)
+
+
+def _quats(z) -> list[Quat]:
+    """One stack of quaternions per column of the components (trials, count, 4)."""
+    return [Quat(*column.T) for column in z.swapaxes(0, 1)]
 
 
 def _trials(rng, count: int, draw) -> list:
@@ -536,67 +544,64 @@ def _case_basis_products(rng, cfg):
         yield (a * b - c).max_abs()
         yield (b * a + c).max_abs()
         yield (a * a + qt.ONE).max_abs()
-    q = rand_complex_quat(rng)
+    q = Quat(*rand_complex_vec(rng, 4))
     yield (qt.ONE * q - q).max_abs()
     yield (q * qt.ONE - q).max_abs()
 
 
 def _case_associativity(rng, cfg):
-    for _ in range(cfg.trials):
-        a, b, c = (rand_complex_quat(rng) for _ in range(3))
-        yield ((a * b) * c - a * (b * c)).max_abs()
+    a, b, c = _quats(rand_complex_vec(rng, cfg.trials, 3, 4))
+    yield from ((a * b) * c - a * (b * c)).max_abs().tolist()
 
 
 def _case_conjugation_anti_homomorphism(rng, cfg):
-    for _ in range(cfg.trials):
-        a, b = rand_complex_quat(rng), rand_complex_quat(rng)
-        ab = a * b
-        yield (ab.quat_conj() - b.quat_conj() * a.quat_conj()).max_abs()
-        yield (ab.herm_conj() - b.herm_conj() * a.herm_conj()).max_abs()
-        yield (ab.complex_conj() - a.complex_conj() * b.complex_conj()).max_abs()
-        yield (a.quat_conj().complex_conj() - a.herm_conj()).max_abs()
-        yield (a.complex_conj().quat_conj() - a.herm_conj()).max_abs()
+    a, b = _quats(rand_complex_vec(rng, cfg.trials, 2, 4))
+    ab = a * b
+    yield from _per_trial(
+        (ab.quat_conj() - b.quat_conj() * a.quat_conj()).max_abs(),
+        (ab.herm_conj() - b.herm_conj() * a.herm_conj()).max_abs(),
+        (ab.complex_conj() - a.complex_conj() * b.complex_conj()).max_abs(),
+        (a.quat_conj().complex_conj() - a.herm_conj()).max_abs(),
+        (a.complex_conj().quat_conj() - a.herm_conj()).max_abs(),
+    )
 
 
 def _case_dot_two_routes(rng, cfg):
-    for _ in range(cfg.trials):
-        a, b = rand_complex_quat(rng), rand_complex_quat(rng)
-        sandwich = (a.quat_conj() * b + b.quat_conj() * a) * 0.5
-        yield abs(qt.dot(a, b) - sandwich.temporal)
-        yield sandwich.spatial.max_abs()
-        yield abs(qt.dot(a, a) - a.modulus())
+    a, b = _quats(rand_complex_vec(rng, cfg.trials, 2, 4))
+    sandwich = (a.quat_conj() * b + b.quat_conj() * a) * 0.5
+    yield from _per_trial(
+        np.abs(qt.dot(a, b) - sandwich.temporal),
+        sandwich.spatial.max_abs(),
+        np.abs(qt.dot(a, a) - a.modulus()),
+    )
 
 
 def _case_matrix_homomorphism(rng, cfg):
-    for _ in range(cfg.trials):
-        a, b = rand_complex_quat(rng), rand_complex_quat(rng)
-        yield _max_abs(qt.to_matrix(a * b) - qt.to_matrix(a) @ qt.to_matrix(b))
+    a, b = _quats(rand_complex_vec(rng, cfg.trials, 2, 4))
+    gap = qt.to_matrix(a * b) - qt.to_matrix(a) @ qt.to_matrix(b)
+    yield from _trial_max(gap).tolist()
 
 
 def _case_matrix_roundtrip(rng, cfg):
-    for _ in range(cfg.trials):
-        q = rand_complex_quat(rng)
-        yield (qt.from_matrix(qt.to_matrix(q)) - q).max_abs()
+    q = Quat(*rand_complex_vec(rng, cfg.trials, 4).T)
+    yield from (qt.from_matrix(qt.to_matrix(q)) - q).max_abs().tolist()
 
 
 def _case_matrix_trace(rng, cfg):
-    for _ in range(cfg.trials):
-        q = rand_complex_quat(rng)
-        yield abs(np.trace(qt.to_matrix(q)) - 2.0 * q.temporal)
+    q = Quat(*rand_complex_vec(rng, cfg.trials, 4).T)
+    trace = np.trace(qt.to_matrix(q), axis1=-2, axis2=-1)
+    yield from np.abs(trace - 2.0 * q.temporal).tolist()
 
 
 def _case_real_conjugations_coincide(rng, cfg):
-    for _ in range(cfg.trials):
-        q = rand_real_quat(rng)
-        yield (q.quat_conj() - q.herm_conj()).max_abs()
+    q = Quat(*rng.uniform(-1.0, 1.0, (cfg.trials, 4)).T)
+    yield from (q.quat_conj() - q.herm_conj()).max_abs().tolist()
 
 
 def _case_modulus_inverse(rng, cfg):
-    for _ in range(cfg.trials):
-        q = rand_invertible_quat(rng)
-        inv = q.inverse()
-        yield (inv * q - qt.ONE).max_abs()
-        yield (q * inv - qt.ONE).max_abs()
+    q = Quat(*_trials(rng, cfg.trials, _rand_invertible)[0].T)
+    inv = q.inverse()
+    yield from _per_trial((inv * q - qt.ONE).max_abs(), (q * inv - qt.ONE).max_abs())
 
 
 def _case_null_inversion_guard(rng, cfg):
@@ -607,53 +612,51 @@ def _case_null_inversion_guard(rng, cfg):
 # maps suite
 
 def _case_lift_identity_row(name, roundtrip):
-    """``roundtrip(v)`` projects the lift of a 2-column v back to v.  It looks
+    """``roundtrip(v)`` projects the lift of 2-columns v back to v.  It looks
     the maps up when called, so that a patched map reaches the case."""
 
     def case(rng, cfg):
-        for _ in range(cfg.trials):
-            v = rand_complex_vec(rng, 2)
-            yield _max_abs(roundtrip(v) - v)
+        v = rand_complex_vec(rng, cfg.trials, 2)
+        yield from _trial_max(roundtrip(v) - v).tolist()
 
     case.__name__ = "_case_" + name
     return case
 
 
 def _case_lift_real_components(rng, cfg):
-    for _ in range(cfg.trials):
-        v = rand_complex_vec(rng, 2)
-        for lifted in (sm.lift_G(v), sm.lift_L(v)):
-            yield _max_abs(np.imag(lifted.components))
+    v = rand_complex_vec(rng, cfg.trials, 2)
+    lifts = (sm.lift_G(v), sm.lift_L(v))
+    yield from _per_trial(*(np.abs(np.imag(q.components)).max(axis=0) for q in lifts))
 
 
 def _case_scalar_shift(rng, cfg):
-    for _ in range(cfg.trials):
-        q = rand_complex_quat(rng)
-        yield _max_abs(sm.map_F(q * (-qt.I3)) - 1j * sm.map_F(q))
-        yield _max_abs(sm.map_N(q * qt.I3) - 1j * sm.map_N(q))
+    q = Quat(*rand_complex_vec(rng, cfg.trials, 4).T)
+    f_gap = _trial_max(sm.map_F(q * (-qt.I3)) - 1j * sm.map_F(q))
+    yield from _per_trial(f_gap, _trial_max(sm.map_N(q * qt.I3) - 1j * sm.map_N(q)))
 
 
 def _case_ideal_double(rng, cfg):
-    for _ in range(cfg.trials):
-        q = rand_complex_quat(rng)
-        yield _max_abs(sm.map_F(q * sm.ideal_factor(1)) - 2.0 * sm.map_F(q))
-        yield _max_abs(sm.map_N(q * sm.ideal_factor(-1)) - 2.0 * sm.map_N(q))
+    q = Quat(*rand_complex_vec(rng, cfg.trials, 4).T)
+    f_gap = _trial_max(sm.map_F(q * sm.ideal_factor(1)) - 2.0 * sm.map_F(q))
+    n_gap = _trial_max(sm.map_N(q * sm.ideal_factor(-1)) - 2.0 * sm.map_N(q))
+    yield from _per_trial(f_gap, n_gap)
 
 
 def _case_lift_commutation(rng, cfg):
-    for _ in range(cfg.trials):
-        q = rand_real_quat(rng)
-        basis = qt.BASIS[int(rng.integers(4))]
-        col = qt.to_matrix(basis) @ sm.map_F(q)
-        yield (sm.lift_G(col) - basis * q).max_abs()
-        yield (sm.lift_G(1j * col) - basis * q * (-qt.I3)).max_abs()
+    def draw(rng):
+        return rng.uniform(-1.0, 1.0, 4), rng.integers(4)
+
+    u, pick = _trials(rng, cfg.trials, draw)
+    q, basis = Quat(*u.T), Quat(*np.eye(4)[pick].T)
+    col = (qt.to_matrix(basis) @ sm.map_F(q)[..., None])[..., 0]
+    gaps = sm.lift_G(col) - basis * q, sm.lift_G(1j * col) - basis * q * (-qt.I3)
+    yield from _per_trial(*(gap.max_abs() for gap in gaps))
 
 
 def _case_gf_ideal(rng, cfg):
     factor = sm.ideal_factor(1)
-    for _ in range(cfg.trials):
-        q = rand_complex_quat(rng)
-        yield (sm.lift_G(sm.map_F(q)) * factor - q * factor).max_abs()
+    q = Quat(*rand_complex_vec(rng, cfg.trials, 4).T)
+    yield from (sm.lift_G(sm.map_F(q)) * factor - q * factor).max_abs().tolist()
 
 
 def _case_idempotent(rng, cfg):
@@ -665,89 +668,103 @@ def _case_contraction_row(name, matrices, right):
     """<F q| m_k F u> against dot(q, i_k u right) for each pair (m_k, i_k)."""
 
     def case(rng, cfg):
-        for _ in range(cfg.trials):
-            q, u = rand_real_quat(rng), rand_real_quat(rng)
-            fq, fu = sm.map_F(q), sm.map_F(u)
-            for matrix, basis in zip(matrices, qt.BASIS[1:]):
-                lhs = np.vdot(fq, matrix @ fu).real
-                yield abs(lhs - qt.dot(q, basis * u * right))
+        q, u = _quats(rng.uniform(-1.0, 1.0, (cfg.trials, 2, 4)))
+        fq, fu = sm.map_F(q), sm.map_F(u)
+        gaps = []
+        for matrix, basis in zip(matrices, qt.BASIS[1:]):
+            lhs = (fq.conj() * (fu @ matrix.T)).sum(axis=-1).real
+            gaps.append(np.abs(lhs - qt.dot(q, basis * u * right)))
+        yield from _per_trial(*gaps)
 
     case.__name__ = "_case_" + name
     return case
 
 
 def _case_bijection_roundtrip(rng, cfg):
-    for _ in range(cfg.trials):
-        v = rand_complex_vec(rng, 4)
-        yield _max_abs(sm.quat_to_vec(sm.vec_to_quat(v)) - v)
+    v = rand_complex_vec(rng, cfg.trials, 4)
+    yield from _trial_max(sm.quat_to_vec(sm.vec_to_quat(v)) - v).tolist()
 
 
 # ---------------------------------------------------------------------------
 # blocks suite
 
-def _rand_block(rng, cls=None, draw=rand_complex_quat):
-    if cls is None:
-        cls = bl.Reflector if rng.integers(2) == 0 else bl.Rotator
-    return cls(draw(rng), draw(rng))
+def _draw_blocks(rng, count: int = 1, entries=lambda rng: rand_complex_vec(rng, 2, 4)):
+    """``count`` blocks of random class: 0 (reflector) or 1 (rotator), then entries."""
+    return [x for _ in range(count) for x in (rng.integers(2), entries(rng))]
+
+
+def _either_class(z) -> list:
+    """The stacked reflectors and rotators of the entries (trials, 2, 4)."""
+    return [cls(*_quats(z)) for cls in (bl.Reflector, bl.Rotator)]
 
 
 def _case_product_vs_embedding(rng, cfg):
-    for _ in range(cfg.trials):
-        x, y = _rand_block(rng), _rand_block(rng)
-        yield _max_abs(embed4(x * y) - embed4(x) @ embed4(y))
+    kx, zx, ky, zy = _trials(rng, cfg.trials, functools.partial(_draw_blocks, count=2))
+    gaps = [
+        [_trial_max(embed4(x * y) - embed4(x) @ embed4(y)) for y in _either_class(zy)]
+        for x in _either_class(zx)
+    ]
+    # each trial's gap under the classes it drew
+    yield from np.array(gaps)[kx, ky, np.arange(cfg.trials)].tolist()
 
 
 def _case_parity_rule(rng, cfg):
     for count, expected in ((2, bl.Rotator), (3, bl.Reflector), (4, bl.Rotator)):
-        out = _rand_block(rng, bl.Reflector)
-        for _ in range(count - 1):
-            out = out * _rand_block(rng, bl.Reflector)
-        yield 0.0 if isinstance(out, expected) else 1.0
+        draws = rand_complex_vec(rng, count, 2, 4)
+        blocks = [bl.Reflector(Quat(*upper), Quat(*lower)) for upper, lower in draws]
+        yield float(not isinstance(functools.reduce(operator.mul, blocks), expected))
 
 
 def _case_rotator_conj_anti_homomorphism(rng, cfg):
-    for _ in range(cfg.trials):
-        x, y = _rand_block(rng, bl.Rotator), _rand_block(rng, bl.Rotator)
-        lhs = embed4((x * y).quat_conj())
-        yield _max_abs(lhs - embed4(y.quat_conj() * x.quat_conj()))
+    xu, xl, yu, yl = _quats(rand_complex_vec(rng, cfg.trials, 4, 4))
+    x, y = bl.Rotator(xu, xl), bl.Rotator(yu, yl)
+    lhs = embed4((x * y).quat_conj())
+    yield from _trial_max(lhs - embed4(y.quat_conj() * x.quat_conj())).tolist()
 
 
 def _case_trace_embedding(rng, cfg):
-    for _ in range(cfg.trials):
-        x = _rand_block(rng, bl.Rotator)
-        yield abs(np.trace(embed4(x)) - 2.0 * x.trace().temporal)
-        yield _rand_block(rng, bl.Reflector).trace().max_abs()
+    xu, xl, yu, yl = _quats(rand_complex_vec(rng, cfg.trials, 4, 4))
+    x, y = bl.Rotator(xu, xl), bl.Reflector(yu, yl)
+    trace = np.trace(embed4(x), axis1=-2, axis2=-1)
+    reflector_trace = np.broadcast_to(y.trace().max_abs(), cfg.trials)
+    yield from _per_trial(np.abs(trace - 2.0 * x.trace().temporal), reflector_trace)
 
 
 def _case_trace_temporal_similarity(rng, cfg):
-    for _ in range(cfg.trials):
-        x = _rand_block(rng, bl.Rotator)
-        r, rc = tr.rotor_blocks(rand_rotor(rng))
-        y = r * x * rc
-        yield abs(y.trace().temporal - x.trace().temporal)
+    def draw(rng):
+        return rand_complex_vec(rng, 2, 4), rand_rotor(rng).components
+
+    z, rotor = _trials(rng, cfg.trials, draw)
+    x = bl.Rotator(*_quats(z))
+    r, rc = tr.rotor_blocks(Quat(*rotor.T))
+    y = r * x * rc
+    yield from _per_trial(
+        np.abs(y.trace().temporal - x.trace().temporal),
         # per-block temporal components are individually preserved
-        yield abs(y.upper.temporal - x.upper.temporal)
-        yield abs(y.lower.temporal - x.lower.temporal)
+        np.abs(y.upper.temporal - x.upper.temporal),
+        np.abs(y.lower.temporal - x.lower.temporal),
+    )
 
 
 def _case_reflector_equation_invariance(rng, cfg):
-    for _ in range(cfg.trials):
-        q = rand_invertible_quat(rng)
-        p = rand_invertible_quat(rng)
-        qq = bl.Reflector(q, q.quat_conj())
-        pp = bl.Reflector(p, p.quat_conj())
-        ww = pp.inverse() * qq * pp
-        yield (qq * pp - pp * ww).max_abs()
-        r, rc = tr.rotor_blocks(rand_rotor(rng))
-        qq2, pp2, ww2 = (r * x * rc for x in (qq, pp, ww))
-        yield (qq2 * pp2 - pp2 * ww2).max_abs()
+    def draw(rng):
+        return *_rand_invertible(rng, 2), rand_rotor(rng).components
+
+    q, p, rotor = (Quat(*z.T) for z in _trials(rng, cfg.trials, draw))
+    qq, pp = (bl.Reflector(x, x.quat_conj()) for x in (q, p))
+    ww = pp.inverse() * qq * pp
+    r, rc = tr.rotor_blocks(rotor)
+    qq2, pp2, ww2 = (r * x * rc for x in (qq, pp, ww))
+    gaps = qq * pp - pp * ww, qq2 * pp2 - pp2 * ww2
+    yield from _per_trial(*(gap.max_abs() for gap in gaps))
 
 
 def _case_block_inverse(rng, cfg):
     ident = embed4(bl.identity_rotator())
-    for _ in range(cfg.trials):
-        x = _rand_block(rng, draw=rand_invertible_quat)
-        yield _max_abs(embed4(x.inverse() * x) - ident)
+    entries = functools.partial(_rand_invertible, count=2)
+    pick, z = _trials(rng, cfg.trials, lambda rng: _draw_blocks(rng, 1, entries))
+    gaps = [_trial_max(embed4(x.inverse() * x) - ident) for x in _either_class(z)]
+    yield from np.array(gaps)[pick, np.arange(cfg.trials)].tolist()
 
 
 def _case_block_guards(rng, cfg):
@@ -763,46 +780,43 @@ def _case_block_guards(rng, cfg):
 # pattern's linear map on the components (q0, q1, q2, q3) is
 # temporal_rotation_matrix4(a, c_t*t) @ rotation_matrix4(a, c_s*t).
 _PATTERN_COEFFS = {
-    "RQ": (0.5, 0.5),
-    "QR": (-0.5, 0.5),
-    "RcQ": (-0.5, -0.5),
-    "QRc": (0.5, -0.5),
-    "RQR": (0.0, 1.0),
-    "RQRc": (1.0, 0.0),
-    "RcQR": (-1.0, 0.0),
-    "RcQRc": (0.0, -1.0),
+    "RQ": (0.5, 0.5), "QR": (-0.5, 0.5), "RcQ": (-0.5, -0.5), "QRc": (0.5, -0.5),
+    "RQR": (0.0, 1.0), "RQRc": (1.0, 0.0), "RcQR": (-1.0, 0.0), "RcQRc": (0.0, -1.0),
 }
+
+
+def _draw_rotation(rng):
+    angle, axis = rng.uniform(0.05, math.pi - 0.05), rand_unit3(rng)
+    return angle, axis, tr.rotor_spatial(axis, angle).components
 
 
 def _case_pattern_row(pattern):
     coeff_s, coeff_t = _PATTERN_COEFFS[pattern]
 
     def case(rng, cfg):
-        for _ in range(cfg.trials):
-            angle = rng.uniform(0.05, math.pi - 0.05)
-            axis = rand_unit3(rng)
-            rotor = tr.rotor_spatial(axis, angle)
-            spatial = rotation_matrix4(axis, coeff_s * angle)
-            want = temporal_rotation_matrix4(axis, coeff_t * angle) @ spatial
-            # column k is the pattern applied to the basis quaternion k
-            got = [tr.pattern_rotate(pattern, rotor, b).components for b in qt.BASIS]
-            yield _max_abs(np.array(got).T - want)
+        angle, axis, rotor = _trials(rng, cfg.trials, _draw_rotation)
+        spatial = rotation_matrix4(axis, coeff_s * angle)
+        want = temporal_rotation_matrix4(axis, coeff_t * angle) @ spatial
+        rotor = Quat(*rotor.T)
+        # column k is the pattern applied to the basis quaternion k
+        got = [tr.pattern_rotate(pattern, rotor, b).components for b in qt.BASIS]
+        yield from _trial_max(np.array(got).T - want).tolist()
 
     case.__name__ = "_case_pattern_" + pattern.lower()
     return case
 
 
 def _case_identity_pattern(rng, cfg):
-    for pattern in tr.ROTATION_PATTERNS:
-        q = rand_real_quat(rng)
+    for pattern, u in zip(tr.ROTATION_PATTERNS, rng.uniform(-1.0, 1.0, (8, 4))):
+        q = Quat(*u)
         yield (tr.pattern_rotate(pattern, qt.ONE, q) - q).max_abs()
 
 
 # ---------------------------------------------------------------------------
 # invariance suite (four-vector laws, boosts, exponent-n transformation)
 #
-# The oracles (``_matrix_oracle`` and the closed forms) of the stacked cases
-# run per trial in the draw pass of ``_trials``.
+# The rotors of the stacked cases are drawn per trial in the draw pass of
+# ``_trials``; ``_matrix_oracle`` then runs once on each stack of them.
 
 def _case_boost_unit_time(rng, cfg):
     unit_time = minkowski_to_quat([1.0, 0, 0, 0])
@@ -819,19 +833,13 @@ def _case_boost_unit_time(rng, cfg):
 
 
 def _case_four_vector_vs_matrix(rng, cfg):
-    def draw(rng):
-        values = []
-        for rotor_draw in (rand_rotation, rand_boost):
-            rotor = rotor_draw(rng)
-            q = rand_euclidean_quat(rng)
-            values += [rotor, q, _matrix_oracle(rotor) @ quat_to_minkowski(q)]
-        return values
-
-    draws = _trials(rng, cfg.trials, draw)
+    draw = (rand_rotation, rand_euclidean_quat, rand_boost, rand_euclidean_quat)
+    draws = _trials(rng, cfg.trials, lambda rng: [f(rng) for f in draw])
     gaps = []
-    for rotor, q, want in (draws[:3], draws[3:]):
+    for rotor, q in (draws[:2], draws[2:]):
         got = quat_to_minkowski(tr.four_vector_transform(q, rotor))
-        gaps.append(_trial_max(got - want))
+        want = _matrix_oracle(rotor) @ quat_to_minkowski(q)[..., None]
+        gaps.append(_trial_max(got - want[..., 0]))
     yield from _per_trial(*gaps)
 
 
@@ -859,11 +867,11 @@ def _case_composition(rng, cfg):
         axis = rand_unit3(rng)
         w1, w2 = rng.uniform(-2, 2, 2)
         b1, b2 = tr.rotor_boost(axis, w1), tr.rotor_boost(axis, w2)
-        oracle = _matrix_oracle(b1) @ _matrix_oracle(r1) @ quat_to_minkowski(q)
         boosts = (tr.rotor_boost(axis, w1 + w2), tr.rotor_boost(axis, -w1))
-        return q, r1, r2, b1, b2, *boosts, oracle
+        return q, r1, r2, b1, b2, *boosts
 
-    q, r1, r2, b1, b2, b12, b1_back, oracle = _trials(rng, cfg.trials, draw)
+    q, r1, r2, b1, b2, b12, b1_back = _trials(rng, cfg.trials, draw)
+    oracle = _matrix_oracle(b1) @ _matrix_oracle(r1) @ quat_to_minkowski(q)[..., None]
     # rotation then boost: one mixed rotor, neither a rotation nor a boost
     mixed = move(q, b1 * r1)
     yield from _per_trial(
@@ -871,7 +879,7 @@ def _case_composition(rng, cfg):
         (move(move(q, b1), b2) - move(q, b12)).max_abs(),
         (move(move(q, b1), b1_back) - q).max_abs(),
         (move(move(q, r1), b1) - mixed).max_abs(),
-        _trial_max(quat_to_minkowski(mixed) - oracle),
+        _trial_max(quat_to_minkowski(mixed) - oracle[..., 0]),
     )
 
 
@@ -897,12 +905,9 @@ def _case_n_invariance(rng, cfg):
 
 
 def _case_mass_four_vector(rng, cfg):
-    def draw(rng):
-        fd = rand_field(rng)
-        boost = rand_boost(rng)
-        return fd, boost, _matrix_oracle(boost) @ np.array([fd.mass, 0.0, 0.0, 0.0])
-
-    fd, boost, oracle = _trials(rng, cfg.trials, draw)
+    fd, boost = _trials(rng, cfg.trials, lambda rng: (rand_field(rng), rand_boost(rng)))
+    # the boost matrix on (mass, 0, 0, 0): its first column times the mass
+    oracle = _matrix_oracle(boost)[..., 0] * fd.mass[:, None]
     state = dr.state_from_mode(dr.plane_wave_modes(np.zeros(3), fd)[3], fd)
     spec = tr.TransformSpec(boost, 1)
     mass_after = dr.transform_state(state, spec).m.upper
@@ -957,13 +962,8 @@ def _case_block_equals_pair(rng, cfg):
     yield from _per_trial((block.upper - r2).max_abs(), (block.lower - r1).max_abs())
 
 
-def _rand_spinors(rng, cfg) -> np.ndarray:
-    """``cfg.trials`` draws of a random 4-column, (trials, 4)."""
-    return np.array([rand_complex_vec(rng, 4) for _ in range(cfg.trials)])
-
-
 def _case_spinor_roundtrip(rng, cfg):
-    psi = _rand_spinors(rng, cfg)
+    psi = rand_complex_vec(rng, cfg.trials, 4)
     yield from _per_trial(
         *(
             _trial_max(dr.pair_to_spinor(dr.spinor_to_pair(psi, lift)) - psi)
@@ -974,7 +974,7 @@ def _case_spinor_roundtrip(rng, cfg):
 
 def _case_ideal_membership(rng, cfg):
     factor = sm.ideal_factor(1)
-    pair = dr.spinor_to_pair(_rand_spinors(rng, cfg))
+    pair = dr.spinor_to_pair(rand_complex_vec(rng, cfg.trials, 4))
     yield from _per_trial(
         *((phi * factor - 2.0 * phi).max_abs() for phi in (pair.phi1, pair.phi2))
     )
@@ -1096,7 +1096,7 @@ def _case_charge_conjugation_flips_potential(rng, cfg):
 # current suite
 
 def _case_current_pipelines(rng, cfg):
-    psi = _rand_spinors(rng, cfg)
+    psi = rand_complex_vec(rng, cfg.trials, 4)
     pair = dr.spinor_to_pair(psi)
     from_pair = cur.pair_current(pair)
     yield from _per_trial(
@@ -1123,7 +1123,7 @@ def _case_current_scaling(rng, cfg):
 
 
 def _case_current_density_positive(rng, cfg):
-    psi = _rand_spinors(rng, cfg)
+    psi = rand_complex_vec(rng, cfg.trials, 4)
     positive = cur.spinor_current(psi)[:, 0] >= 0  # NaN fails too
     # Euclidean temporal component is purely imaginary, spatial real
     je = cur.pair_current(dr.spinor_to_pair(psi))

@@ -15,7 +15,7 @@ regularising, because null directions are meaningful (idempotents, the
 light cone).
 
 A faithful 2x2 complex matrix representation is available through
-``to_matrix``/``from_matrix``.
+``to_matrix``/``from_matrix``, for a stack as (..., 2, 2) matrices.
 
 A ``Quat`` holds either one complex number per component or one complex
 NumPy array per component, all of one shape: a stack of quaternions, one
@@ -322,22 +322,22 @@ def dot(a: Quat, b: Quat) -> complex:
 # i2 -> [[0,-1],[1,0]], i3 -> [[-i,0],[0,i]].
 
 def to_matrix(q: Quat) -> np.ndarray:
+    """The 2x2 matrix of q; (..., 2, 2) for a stack."""
     q0, q1, q2, q3 = q.components
-    return np.array(
-        [
-            [q0 - 1j * q3, -q2 - 1j * q1],
-            [q2 - 1j * q1, q0 + 1j * q3],
-        ],
-        dtype=complex,
+    m = np.array(
+        [q0 - 1j * q3, -q2 - 1j * q1, q2 - 1j * q1, q0 + 1j * q3], dtype=complex
     )
+    return m.transpose(*range(1, m.ndim), 0).reshape(m.shape[1:] + (2, 2))
 
 
 def from_matrix(m) -> Quat:
+    """The quaternion of a 2x2 matrix, or the stack of a stack (..., 2, 2)."""
     m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
+    if m.shape[-2:] != (2, 2):
         raise ValueError("expected a 2x2 matrix, got shape %r" % (m.shape,))
-    q0 = (m[0, 0] + m[1, 1]) / 2.0
-    q3 = (m[1, 1] - m[0, 0]) / 2j
-    q2 = (m[1, 0] - m[0, 1]) / 2.0
-    q1 = (m[0, 1] + m[1, 0]) * 1j / 2.0
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    q0 = (m00 + m11) / 2.0
+    q3 = (m11 - m00) / 2j
+    q2 = (m10 - m01) / 2.0
+    q1 = (m01 + m10) * 1j / 2.0
     return Quat(q0, q1, q2, q3)

@@ -11,7 +11,14 @@ from qdirac import current as cur
 from qdirac import dirac as dr
 from qdirac import spinor_maps as sm
 from qdirac.blocks import Reflector, Rotator, block_power
-from qdirac.harness import SuiteConfig, run_suite
+from qdirac import quaternion as qt
+from qdirac.harness import (
+    SuiteConfig,
+    embed4,
+    rotation_matrix4,
+    run_suite,
+    temporal_rotation_matrix4,
+)
 from qdirac.quaternion import ONE, Quat, SingularQuaternion, _of
 from qdirac.transforms import (
     TransformSpec,
@@ -142,6 +149,50 @@ def test_stacked_maps_match_per_item():
     _assert_matches(sm.quat_to_vec(_quats(quats)), psi)
     # four stacked columns are four quaternions, not the transposed stack
     _assert_matches(sm.vec_to_quat(psi[:4]), quats[:4])
+
+
+def _bitwise(stack, items):
+    """The stack holds the per-item arrays bit for bit, item after item."""
+    want = np.stack(items)
+    assert stack.shape == want.shape and stack.tobytes() == want.tobytes()
+
+
+def test_stacked_matrix_views_are_bitwise():
+    _, _, _, psi, _ = _draws(7)
+    quats = [Quat(*x) for x in psi]
+    _bitwise(qt.to_matrix(_quats(quats)), [qt.to_matrix(q) for q in quats])
+    matrices = np.stack([qt.to_matrix(q) for q in quats])
+    back = qt.from_matrix(matrices)
+    _bitwise(sm.quat_to_vec(back), [sm.quat_to_vec(qt.from_matrix(m)) for m in matrices])
+    # one more leading axis: a (3, 4) stack of matrices
+    grid = qt.to_matrix(_quats(quats)).reshape(3, 4, 2, 2)
+    _bitwise(sm.quat_to_vec(qt.from_matrix(grid)).reshape(COUNT, 4), list(psi))
+    for cls in (Reflector, Rotator):
+        upper, lower = quats, quats[::-1]
+        blocks = cls(_quats(upper), _quats(lower))
+        _bitwise(embed4(blocks), [embed4(cls(u, v)) for u, v in zip(upper, lower)])
+    # a scalar entry broadcasts against a stacked one
+    _bitwise(embed4(Rotator(_quats(quats), ONE)), [embed4(Rotator(q, ONE)) for q in quats])
+
+
+def test_stacked_rotation_matrices_are_bitwise():
+    rng = np.random.default_rng(8)
+    axes = np.array([_unit3(rng) for _ in range(COUNT)])
+    angles = rng.uniform(-math.pi, math.pi, COUNT)
+    for matrix in (rotation_matrix4, temporal_rotation_matrix4):
+        _bitwise(matrix(axes, angles), [matrix(a, t) for a, t in zip(axes, angles)])
+        # one axis against a stack of angles
+        _bitwise(matrix(axes[0], angles[:1]), [matrix(axes[0], angles[0])])
+
+
+def test_stacked_from_matrix_guards():
+    for shape in ((2,), (3, 3), (COUNT, 2, 3), (COUNT, 4)):
+        with pytest.raises(ValueError, match="2x2"):
+            qt.from_matrix(np.zeros(shape))
+    matrices = np.zeros((COUNT, 2, 2), dtype=complex)
+    matrices[6, 1, 0] = math.nan
+    with pytest.raises(ValueError, match=r"finite.*member \(6,\)"):
+        qt.from_matrix(matrices)
 
 
 def test_stacked_hamiltonian_and_modes_are_bitwise():
