@@ -26,6 +26,8 @@ a stack.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .quaternion import _SCALARS, ONE, Quat, _max_abs
 
 __all__ = [
@@ -132,8 +134,9 @@ class Reflector(_Block):
         return Reflector._of(self.lower.inverse(), self.upper.inverse())
 
     def trace(self) -> Quat:
-        """The trace of any reflector is zero."""
-        return Quat()
+        """The trace of any reflector is zero: one zero per member of a stack."""
+        shapes = np.shape(self.upper.temporal), np.shape(self.lower.temporal)
+        return Quat(np.zeros(np.broadcast_shapes(*shapes)))
 
 
 def _block_mul(self, other):

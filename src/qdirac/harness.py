@@ -8,20 +8,22 @@ dense oracles are ``embed4``, ``rotation_matrix4``,
 ``temporal_rotation_matrix4``, ``boost_matrix4`` and
 ``quat_to_minkowski``/``minkowski_to_quat``.
 
-Each suite is an ordered list of cases.  A case is a generator that draws
+Each suite is an ordered list of cases.  A case is a function that draws
 its instances from a counter-based generator keyed by (seed, suite, case
 name), so it draws the same instances under ``all`` as under its own suite,
-and yields one residual per check; ``_run_case`` reduces them to the
-largest.  A case first draws all its trials, reading the generator as a
-loop over the trials would, then makes one library call per check on the
-stack (see ``quaternion``) and yields its residuals trial by trial; only
-``current/current_covariance`` still loops.  A case passes when that
-residual is at most its pinned tolerance.
+and returns its residuals in one float array; ``_run_case`` reduces it to
+the largest.  A case that draws trials draws all of them as a loop over
+them would, makes one library call per check on the stack (see
+``quaternion``) and returns ``(trials,)`` or ``(trials, checks)``, whose
+ravel is the loop's residuals in order; ``mass_four_vector`` and
+``current_scaling`` append one fixed check.  A case of fixed instances
+returns a scalar or a short list.  A case passes when its largest residual
+is at most its pinned tolerance.
 Cases come in three kinds: only ``residual`` tolerances scale with
-``cfg.tol / 1e-10``, while ``guard`` cases (yield 0 or 1, and 1 when the
-guarded quantity is NaN) and ``order`` cases (yield the gap of a
+``cfg.tol / 1e-10``, while ``guard`` cases (return 0 or 1, and 1 when the
+guarded quantity is NaN) and ``order`` cases (return the gap of a
 convergence ratio from 4) keep theirs.  A case fails when any residual is
-NaN or infinite, whatever the tolerance, when it yields none, or when it
+NaN or infinite, whatever the tolerance, when it returns none, or when it
 raises; the exception goes to stderr and the other cases still run.
 Reports are deterministic for a fixed (suite, seed, config) up to the
 elapsed-time fields.  The ``qdirac`` command exits 0 when every case
@@ -517,12 +519,6 @@ def _trial_max(x) -> np.ndarray:
     return np.abs(x).reshape(len(x), -1).max(axis=1)
 
 
-def _per_trial(*residuals) -> list[float]:
-    """Residual arrays over the trials, trial by trial: all of the first
-    trial's residuals in the order given, then the second trial's."""
-    return np.stack(residuals, axis=1).ravel().tolist()
-
-
 def _raises(exc, fn, *args) -> float:
     """Guard residual: 0.0 when ``fn(*args)`` raises ``exc``, 1.0 when it returns."""
     try:
@@ -540,72 +536,68 @@ _NULL = Quat(1.0, 0.0, 0.0, 1j)  # nonzero, with zero complex modulus
 
 def _case_basis_products(rng, cfg):
     cyc = ((qt.I1, qt.I2, qt.I3), (qt.I2, qt.I3, qt.I1), (qt.I3, qt.I1, qt.I2))
-    for a, b, c in cyc:
-        yield (a * b - c).max_abs()
-        yield (b * a + c).max_abs()
-        yield (a * a + qt.ONE).max_abs()
+    gaps = [g for a, b, c in cyc for g in (a * b - c, b * a + c, a * a + qt.ONE)]
     q = Quat(*rand_complex_vec(rng, 4))
-    yield (qt.ONE * q - q).max_abs()
-    yield (q * qt.ONE - q).max_abs()
+    return [gap.max_abs() for gap in gaps + [qt.ONE * q - q, q * qt.ONE - q]]
 
 
 def _case_associativity(rng, cfg):
     a, b, c = _quats(rand_complex_vec(rng, cfg.trials, 3, 4))
-    yield from ((a * b) * c - a * (b * c)).max_abs().tolist()
+    return ((a * b) * c - a * (b * c)).max_abs()
 
 
 def _case_conjugation_anti_homomorphism(rng, cfg):
     a, b = _quats(rand_complex_vec(rng, cfg.trials, 2, 4))
     ab = a * b
-    yield from _per_trial(
-        (ab.quat_conj() - b.quat_conj() * a.quat_conj()).max_abs(),
-        (ab.herm_conj() - b.herm_conj() * a.herm_conj()).max_abs(),
-        (ab.complex_conj() - a.complex_conj() * b.complex_conj()).max_abs(),
-        (a.quat_conj().complex_conj() - a.herm_conj()).max_abs(),
-        (a.complex_conj().quat_conj() - a.herm_conj()).max_abs(),
-    )
+    gaps = [
+        ab.quat_conj() - b.quat_conj() * a.quat_conj(),
+        ab.herm_conj() - b.herm_conj() * a.herm_conj(),
+        ab.complex_conj() - a.complex_conj() * b.complex_conj(),
+        a.quat_conj().complex_conj() - a.herm_conj(),
+        a.complex_conj().quat_conj() - a.herm_conj(),
+    ]
+    return np.stack([gap.max_abs() for gap in gaps], axis=1)
 
 
 def _case_dot_two_routes(rng, cfg):
     a, b = _quats(rand_complex_vec(rng, cfg.trials, 2, 4))
     sandwich = (a.quat_conj() * b + b.quat_conj() * a) * 0.5
-    yield from _per_trial(
-        np.abs(qt.dot(a, b) - sandwich.temporal),
-        sandwich.spatial.max_abs(),
-        np.abs(qt.dot(a, a) - a.modulus()),
-    )
+    spatial = sandwich.spatial.max_abs()
+    gaps = [qt.dot(a, b) - sandwich.temporal, spatial, qt.dot(a, a) - a.modulus()]
+    return np.abs(np.stack(gaps, axis=1))
 
 
 def _case_matrix_homomorphism(rng, cfg):
     a, b = _quats(rand_complex_vec(rng, cfg.trials, 2, 4))
     gap = qt.to_matrix(a * b) - qt.to_matrix(a) @ qt.to_matrix(b)
-    yield from _trial_max(gap).tolist()
+    return _trial_max(gap)
 
 
 def _case_matrix_roundtrip(rng, cfg):
     q = Quat(*rand_complex_vec(rng, cfg.trials, 4).T)
-    yield from (qt.from_matrix(qt.to_matrix(q)) - q).max_abs().tolist()
+    return (qt.from_matrix(qt.to_matrix(q)) - q).max_abs()
 
 
 def _case_matrix_trace(rng, cfg):
     q = Quat(*rand_complex_vec(rng, cfg.trials, 4).T)
     trace = np.trace(qt.to_matrix(q), axis1=-2, axis2=-1)
-    yield from np.abs(trace - 2.0 * q.temporal).tolist()
+    return np.abs(trace - 2.0 * q.temporal)
 
 
 def _case_real_conjugations_coincide(rng, cfg):
     q = Quat(*rng.uniform(-1.0, 1.0, (cfg.trials, 4)).T)
-    yield from (q.quat_conj() - q.herm_conj()).max_abs().tolist()
+    return (q.quat_conj() - q.herm_conj()).max_abs()
 
 
 def _case_modulus_inverse(rng, cfg):
     q = Quat(*_trials(rng, cfg.trials, _rand_invertible)[0].T)
     inv = q.inverse()
-    yield from _per_trial((inv * q - qt.ONE).max_abs(), (q * inv - qt.ONE).max_abs())
+    gaps = inv * q - qt.ONE, q * inv - qt.ONE
+    return np.stack([gap.max_abs() for gap in gaps], axis=1)
 
 
 def _case_null_inversion_guard(rng, cfg):
-    yield _raises(qt.SingularQuaternion, _NULL.inverse)
+    return _raises(qt.SingularQuaternion, _NULL.inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +609,7 @@ def _case_lift_identity_row(name, roundtrip):
 
     def case(rng, cfg):
         v = rand_complex_vec(rng, cfg.trials, 2)
-        yield from _trial_max(roundtrip(v) - v).tolist()
+        return _trial_max(roundtrip(v) - v)
 
     case.__name__ = "_case_" + name
     return case
@@ -626,20 +618,21 @@ def _case_lift_identity_row(name, roundtrip):
 def _case_lift_real_components(rng, cfg):
     v = rand_complex_vec(rng, cfg.trials, 2)
     lifts = (sm.lift_G(v), sm.lift_L(v))
-    yield from _per_trial(*(np.abs(np.imag(q.components)).max(axis=0) for q in lifts))
+    return np.stack([np.abs(np.imag(q.components)).max(axis=0) for q in lifts], axis=1)
 
 
 def _case_scalar_shift(rng, cfg):
     q = Quat(*rand_complex_vec(rng, cfg.trials, 4).T)
     f_gap = _trial_max(sm.map_F(q * (-qt.I3)) - 1j * sm.map_F(q))
-    yield from _per_trial(f_gap, _trial_max(sm.map_N(q * qt.I3) - 1j * sm.map_N(q)))
+    n_gap = _trial_max(sm.map_N(q * qt.I3) - 1j * sm.map_N(q))
+    return np.stack([f_gap, n_gap], axis=1)
 
 
 def _case_ideal_double(rng, cfg):
     q = Quat(*rand_complex_vec(rng, cfg.trials, 4).T)
     f_gap = _trial_max(sm.map_F(q * sm.ideal_factor(1)) - 2.0 * sm.map_F(q))
     n_gap = _trial_max(sm.map_N(q * sm.ideal_factor(-1)) - 2.0 * sm.map_N(q))
-    yield from _per_trial(f_gap, n_gap)
+    return np.stack([f_gap, n_gap], axis=1)
 
 
 def _case_lift_commutation(rng, cfg):
@@ -650,18 +643,18 @@ def _case_lift_commutation(rng, cfg):
     q, basis = Quat(*u.T), Quat(*np.eye(4)[pick].T)
     col = (qt.to_matrix(basis) @ sm.map_F(q)[..., None])[..., 0]
     gaps = sm.lift_G(col) - basis * q, sm.lift_G(1j * col) - basis * q * (-qt.I3)
-    yield from _per_trial(*(gap.max_abs() for gap in gaps))
+    return np.stack([gap.max_abs() for gap in gaps], axis=1)
 
 
 def _case_gf_ideal(rng, cfg):
     factor = sm.ideal_factor(1)
     q = Quat(*rand_complex_vec(rng, cfg.trials, 4).T)
-    yield from (sm.lift_G(sm.map_F(q)) * factor - q * factor).max_abs().tolist()
+    return (sm.lift_G(sm.map_F(q)) * factor - q * factor).max_abs()
 
 
 def _case_idempotent(rng, cfg):
     half = sm.ideal_factor(1) * 0.5
-    yield (half * half - half).max_abs()
+    return (half * half - half).max_abs()
 
 
 def _case_contraction_row(name, matrices, right):
@@ -674,7 +667,7 @@ def _case_contraction_row(name, matrices, right):
         for matrix, basis in zip(matrices, qt.BASIS[1:]):
             lhs = (fq.conj() * (fu @ matrix.T)).sum(axis=-1).real
             gaps.append(np.abs(lhs - qt.dot(q, basis * u * right)))
-        yield from _per_trial(*gaps)
+        return np.stack(gaps, axis=1)
 
     case.__name__ = "_case_" + name
     return case
@@ -682,7 +675,7 @@ def _case_contraction_row(name, matrices, right):
 
 def _case_bijection_roundtrip(rng, cfg):
     v = rand_complex_vec(rng, cfg.trials, 4)
-    yield from _trial_max(sm.quat_to_vec(sm.vec_to_quat(v)) - v).tolist()
+    return _trial_max(sm.quat_to_vec(sm.vec_to_quat(v)) - v)
 
 
 # ---------------------------------------------------------------------------
@@ -705,29 +698,32 @@ def _case_product_vs_embedding(rng, cfg):
         for x in _either_class(zx)
     ]
     # each trial's gap under the classes it drew
-    yield from np.array(gaps)[kx, ky, np.arange(cfg.trials)].tolist()
+    return np.array(gaps)[kx, ky, np.arange(cfg.trials)]
 
 
 def _case_parity_rule(rng, cfg):
+    wrong = []
     for count, expected in ((2, bl.Rotator), (3, bl.Reflector), (4, bl.Rotator)):
         draws = rand_complex_vec(rng, count, 2, 4)
         blocks = [bl.Reflector(Quat(*upper), Quat(*lower)) for upper, lower in draws]
-        yield float(not isinstance(functools.reduce(operator.mul, blocks), expected))
+        wrong.append(not isinstance(functools.reduce(operator.mul, blocks), expected))
+    return wrong
 
 
 def _case_rotator_conj_anti_homomorphism(rng, cfg):
     xu, xl, yu, yl = _quats(rand_complex_vec(rng, cfg.trials, 4, 4))
     x, y = bl.Rotator(xu, xl), bl.Rotator(yu, yl)
     lhs = embed4((x * y).quat_conj())
-    yield from _trial_max(lhs - embed4(y.quat_conj() * x.quat_conj())).tolist()
+    return _trial_max(lhs - embed4(y.quat_conj() * x.quat_conj()))
 
 
 def _case_trace_embedding(rng, cfg):
     xu, xl, yu, yl = _quats(rand_complex_vec(rng, cfg.trials, 4, 4))
-    x, y = bl.Rotator(xu, xl), bl.Reflector(yu, yl)
-    trace = np.trace(embed4(x), axis1=-2, axis2=-1)
-    reflector_trace = np.broadcast_to(y.trace().max_abs(), cfg.trials)
-    yield from _per_trial(np.abs(trace - 2.0 * x.trace().temporal), reflector_trace)
+    gaps = [
+        np.abs(np.trace(embed4(x), axis1=-2, axis2=-1) - 2.0 * x.trace().temporal)
+        for x in (bl.Rotator(xu, xl), bl.Reflector(yu, yl))
+    ]
+    return np.stack(gaps, axis=1)
 
 
 def _case_trace_temporal_similarity(rng, cfg):
@@ -738,12 +734,9 @@ def _case_trace_temporal_similarity(rng, cfg):
     x = bl.Rotator(*_quats(z))
     r, rc = tr.rotor_blocks(Quat(*rotor.T))
     y = r * x * rc
-    yield from _per_trial(
-        np.abs(y.trace().temporal - x.trace().temporal),
-        # per-block temporal components are individually preserved
-        np.abs(y.upper.temporal - x.upper.temporal),
-        np.abs(y.lower.temporal - x.lower.temporal),
-    )
+    # per-block temporal components are individually preserved
+    gaps = y.trace() - x.trace(), y.upper - x.upper, y.lower - x.lower
+    return np.stack([np.abs(gap.temporal) for gap in gaps], axis=1)
 
 
 def _case_reflector_equation_invariance(rng, cfg):
@@ -756,7 +749,7 @@ def _case_reflector_equation_invariance(rng, cfg):
     r, rc = tr.rotor_blocks(rotor)
     qq2, pp2, ww2 = (r * x * rc for x in (qq, pp, ww))
     gaps = qq * pp - pp * ww, qq2 * pp2 - pp2 * ww2
-    yield from _per_trial(*(gap.max_abs() for gap in gaps))
+    return np.stack([gap.max_abs() for gap in gaps], axis=1)
 
 
 def _case_block_inverse(rng, cfg):
@@ -764,13 +757,15 @@ def _case_block_inverse(rng, cfg):
     entries = functools.partial(_rand_invertible, count=2)
     pick, z = _trials(rng, cfg.trials, lambda rng: _draw_blocks(rng, 1, entries))
     gaps = [_trial_max(embed4(x.inverse() * x) - ident) for x in _either_class(z)]
-    yield from np.array(gaps)[pick, np.arange(cfg.trials)].tolist()
+    return np.array(gaps)[pick, np.arange(cfg.trials)]
 
 
 def _case_block_guards(rng, cfg):
     one = bl.Reflector(qt.ONE, qt.ONE)
-    yield _raises(TypeError, lambda: one + bl.Rotator(qt.ONE, qt.ONE))
-    yield _raises(qt.SingularQuaternion, bl.Rotator(_NULL, qt.ONE).inverse)
+    return [
+        _raises(TypeError, lambda: one + bl.Rotator(qt.ONE, qt.ONE)),
+        _raises(qt.SingularQuaternion, bl.Rotator(_NULL, qt.ONE).inverse),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -800,16 +795,16 @@ def _case_pattern_row(pattern):
         rotor = Quat(*rotor.T)
         # column k is the pattern applied to the basis quaternion k
         got = [tr.pattern_rotate(pattern, rotor, b).components for b in qt.BASIS]
-        yield from _trial_max(np.array(got).T - want).tolist()
+        return _trial_max(np.array(got).T - want)
 
     case.__name__ = "_case_pattern_" + pattern.lower()
     return case
 
 
 def _case_identity_pattern(rng, cfg):
-    for pattern, u in zip(tr.ROTATION_PATTERNS, rng.uniform(-1.0, 1.0, (8, 4))):
-        q = Quat(*u)
-        yield (tr.pattern_rotate(pattern, qt.ONE, q) - q).max_abs()
+    quats = map(Quat, *rng.uniform(-1.0, 1.0, (8, 4)).T)
+    pairs = zip(tr.ROTATION_PATTERNS, quats)
+    return [(tr.pattern_rotate(name, qt.ONE, q) - q).max_abs() for name, q in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +824,7 @@ def _case_boost_unit_time(rng, cfg):
 
     rotor, want = _trials(rng, cfg.trials, draw)
     moved = tr.four_vector_transform(unit_time, rotor)
-    yield from _trial_max(quat_to_minkowski(moved) - want).tolist()
+    return _trial_max(quat_to_minkowski(moved) - want)
 
 
 def _case_four_vector_vs_matrix(rng, cfg):
@@ -840,7 +835,7 @@ def _case_four_vector_vs_matrix(rng, cfg):
         got = quat_to_minkowski(tr.four_vector_transform(q, rotor))
         want = _matrix_oracle(rotor) @ quat_to_minkowski(q)[..., None]
         gaps.append(_trial_max(got - want[..., 0]))
-    yield from _per_trial(*gaps)
+    return np.stack(gaps, axis=1)
 
 
 def _case_interval_preservation(rng, cfg):
@@ -855,7 +850,7 @@ def _case_interval_preservation(rng, cfg):
         # a stacked matmul sums like the per-trial u[1:] @ u[1:], bitwise
         return u[:, 0] ** 2 - (u[:, None, 1:] @ u[:, 1:, None])[:, 0, 0]
 
-    yield from np.abs(interval(v) - interval(v2)).tolist()
+    return np.abs(interval(v) - interval(v2))
 
 
 def _case_composition(rng, cfg):
@@ -874,13 +869,14 @@ def _case_composition(rng, cfg):
     oracle = _matrix_oracle(b1) @ _matrix_oracle(r1) @ quat_to_minkowski(q)[..., None]
     # rotation then boost: one mixed rotor, neither a rotation nor a boost
     mixed = move(q, b1 * r1)
-    yield from _per_trial(
-        (move(move(q, r1), r2) - move(q, r2 * r1)).max_abs(),
-        (move(move(q, b1), b2) - move(q, b12)).max_abs(),
-        (move(move(q, b1), b1_back) - q).max_abs(),
-        (move(move(q, r1), b1) - mixed).max_abs(),
-        _trial_max(quat_to_minkowski(mixed) - oracle[..., 0]),
-    )
+    gaps = [
+        move(move(q, r1), r2) - move(q, r2 * r1),
+        move(move(q, b1), b2) - move(q, b12),
+        move(move(q, b1), b1_back) - q,
+        move(move(q, r1), b1) - mixed,
+    ]
+    matrix_gap = _trial_max(quat_to_minkowski(mixed) - oracle[..., 0])
+    return np.stack([*(gap.max_abs() for gap in gaps), matrix_gap], axis=1)
 
 
 def _case_blocks_vs_vector_path(rng, cfg):
@@ -891,17 +887,18 @@ def _case_blocks_vs_vector_path(rng, cfg):
     r, rc = tr.rotor_blocks(rotor)
     moved = r * bl.Reflector(q, q.quat_conj()) * rc
     direct = tr.four_vector_transform(q, rotor)
-    yield from _per_trial(
-        (moved.upper - direct).max_abs(), (moved.lower - direct.quat_conj()).max_abs()
-    )
+    gaps = moved.upper - direct, moved.lower - direct.quat_conj()
+    return np.stack([gap.max_abs() for gap in gaps], axis=1)
 
 
 def _case_n_invariance(rng, cfg):
     # the trials of one exponent are consecutive: one stack per exponent
+    residuals = []
     for n, block in itertools.groupby(_n_draws(cfg)):
         fd, p, pick, rotor = _trials(rng, len(list(block)), _draw_state_and_rotor)
         moved = dr.transform_state(_states(fd, p, pick), tr.TransformSpec(rotor, n))
-        yield from moved.residual().max_abs().tolist()
+        residuals.append(moved.residual().max_abs())
+    return np.concatenate(residuals)
 
 
 def _case_mass_four_vector(rng, cfg):
@@ -912,16 +909,14 @@ def _case_mass_four_vector(rng, cfg):
     spec = tr.TransformSpec(boost, 1)
     mass_after = dr.transform_state(state, spec).m.upper
     direct = tr.four_vector_transform(Quat(fd.euclidean_mass), spec.rotor)
-    yield from _per_trial(
-        (mass_after - direct).max_abs(),
-        _trial_max(quat_to_minkowski(mass_after) - oracle),
-    )
+    matrix_gap = _trial_max(quat_to_minkowski(mass_after) - oracle)
+    gaps = np.stack([(mass_after - direct).max_abs(), matrix_gap], axis=1)
     # a unit-rapidity boost must push the mass off the temporal axis
     fd = dr.FieldData(1.0)
     state = dr.state_from_mode(dr.plane_wave_modes(np.zeros(3), fd)[3], fd)
     spec = tr.TransformSpec(tr.rotor_boost(np.array([1.0, 0, 0]), 1.0), 1)
     moved = dr.transform_state(state, spec).m.upper
-    yield 0.0 if moved.spatial.max_abs() >= 1e-3 else 1.0
+    return np.append(gaps, 0.0 if moved.spatial.max_abs() >= 1e-3 else 1.0)
 
 
 def _case_mass_fixed_n0(rng, cfg):
@@ -929,7 +924,7 @@ def _case_mass_fixed_n0(rng, cfg):
     fd, p, pick, rotor = _trials(rng, cfg.trials, draw)
     state = _states(fd, p, pick)
     moved = dr.transform_state(state, tr.TransformSpec(rotor, 0))
-    yield from (moved.m - state.m).max_abs().tolist()
+    return (moved.m - state.m).max_abs()
 
 
 # ---------------------------------------------------------------------------
@@ -946,7 +941,7 @@ def _case_translated_residuals(rng, cfg):
         block = dr.state_from_mode(mode, fd).residual()
         residuals = [r1.max_abs(), r2.max_abs(), block.max_abs()]
         per_mode.append(np.stack(residuals, axis=1))
-    yield from _per_trial(*per_mode)
+    return np.stack(per_mode, axis=1)
 
 
 def _case_block_equals_pair(rng, cfg):
@@ -959,25 +954,22 @@ def _case_block_equals_pair(rng, cfg):
     mode = dr.PlaneWaveMode(energy, p, amplitude)
     r1, r2 = dr.pair_residual(dr.spinor_to_pair(mode.amplitude), mode, fd)
     block = dr.state_from_mode(mode, fd).residual()
-    yield from _per_trial((block.upper - r2).max_abs(), (block.lower - r1).max_abs())
+    gaps = block.upper - r2, block.lower - r1
+    return np.stack([gap.max_abs() for gap in gaps], axis=1)
 
 
 def _case_spinor_roundtrip(rng, cfg):
     psi = rand_complex_vec(rng, cfg.trials, 4)
-    yield from _per_trial(
-        *(
-            _trial_max(dr.pair_to_spinor(dr.spinor_to_pair(psi, lift)) - psi)
-            for lift in ("G", "L")
-        )
-    )
+    pairs = [dr.spinor_to_pair(psi, lift) for lift in ("G", "L")]
+    gaps = [_trial_max(dr.pair_to_spinor(pair) - psi) for pair in pairs]
+    return np.stack(gaps, axis=1)
 
 
 def _case_ideal_membership(rng, cfg):
     factor = sm.ideal_factor(1)
     pair = dr.spinor_to_pair(rand_complex_vec(rng, cfg.trials, 4))
-    yield from _per_trial(
-        *((phi * factor - 2.0 * phi).max_abs() for phi in (pair.phi1, pair.phi2))
-    )
+    gaps = [phi * factor - 2.0 * phi for phi in (pair.phi1, pair.phi2)]
+    return np.stack([gap.max_abs() for gap in gaps], axis=1)
 
 
 def _rand_spectra(rng, cfg, with_shift: bool = False):
@@ -995,7 +987,7 @@ def _rand_spectra(rng, cfg, with_shift: bool = False):
 
 
 def _smallest_singular_values(systems) -> np.ndarray:
-    return np.linalg.svd(systems, compute_uv=False)[:, -1]
+    return np.linalg.svd(systems, compute_uv=False)[..., -1]
 
 
 def _case_eigenvalue_match(rng, cfg):
@@ -1009,14 +1001,14 @@ def _case_eigenvalue_match(rng, cfg):
         ],
         axis=1,
     )
-    yield from _smallest_singular_values(systems.reshape(-1, 4, 4)).tolist()
+    return _smallest_singular_values(systems)
 
 
 def _case_off_eigenvalue_nonsingular(rng, cfg):
     fd, p, shift, spectra = _rand_spectra(rng, cfg, with_shift=True)
     systems = dr.pair_system_matrix(spectra[:, -1] + shift, p, fd)
     # NaN >= 1e-3 is False: a NaN flags 1.0
-    yield from np.where(_smallest_singular_values(systems) >= 1e-3, 0.0, 1.0).tolist()
+    return np.where(_smallest_singular_values(systems) >= 1e-3, 0.0, 1.0)
 
 
 def _case_massless_mode(rng, cfg):
@@ -1034,7 +1026,7 @@ def _case_massless_mode(rng, cfg):
     sym, sym_c = dr.momentum_symbol(mode)
     pair = dr.BispinorPair(sym * factor, sym_c * factor)
     r1, r2 = dr.pair_residual(pair, mode, fd)
-    yield from _per_trial(r1.max_abs(), r2.max_abs())
+    return np.stack([r1.max_abs(), r2.max_abs()], axis=1)
 
 
 def _case_rest_frame_values(rng, cfg):
@@ -1043,12 +1035,10 @@ def _case_rest_frame_values(rng, cfg):
     # project the degenerate eigenspace onto the first basis spinor
     psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     pair = dr.spinor_to_pair(psi)
-    yield (pair.phi1 - Quat(1.0, 0.0, 0.0, 1j)).max_abs()
-    yield (pair.phi2 - (-qt.I3) * sm.ideal_factor(1)).max_abs()
     mode = dr.PlaneWaveMode(positive[0].energy, np.zeros(3), psi)
     r1, r2 = dr.pair_residual(pair, mode, fd)
-    yield r1.max_abs()
-    yield r2.max_abs()
+    phi1, phi2 = Quat(1.0, 0.0, 0.0, 1j), (-qt.I3) * sm.ideal_factor(1)
+    return [gap.max_abs() for gap in (pair.phi1 - phi1, pair.phi2 - phi2, r1, r2)]
 
 
 # ---------------------------------------------------------------------------
@@ -1071,7 +1061,7 @@ def _state_gaps(a: dr.DiracState, b: dr.DiracState) -> np.ndarray:
 def _case_preserves_row(kind):
     def case(rng, cfg):
         state = _rand_states(rng, cfg)
-        yield from dr.apply_discrete(state, kind).residual().max_abs().tolist()
+        return dr.apply_discrete(state, kind).residual().max_abs()
 
     case.__name__ = "_case_%s_preserves" % kind
     return case
@@ -1083,13 +1073,14 @@ def _case_involutions(rng, cfg):
     for kind in ("parity", "time_reversal", "charge_conjugation"):
         twice = dr.apply_discrete(dr.apply_discrete(state, kind), kind)
         gaps.append(_state_gaps(twice, state))
-    yield from _per_trial(*gaps)
+    return np.stack(gaps, axis=1)
 
 
 def _case_charge_conjugation_flips_potential(rng, cfg):
     state = _rand_states(rng, cfg)
     image = dr.apply_discrete(state, "charge_conjugation")
-    yield from _per_trial(image.residual().max_abs(), (image.a - (-state.a)).max_abs())
+    gaps = image.residual(), image.a - (-state.a)
+    return np.stack([gap.max_abs() for gap in gaps], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1099,16 +1090,15 @@ def _case_current_pipelines(rng, cfg):
     psi = rand_complex_vec(rng, cfg.trials, 4)
     pair = dr.spinor_to_pair(psi)
     from_pair = cur.pair_current(pair)
-    yield from _per_trial(
-        # the column bilinears in Euclidean components
-        _trial_max(from_pair - cur.spinor_current(psi) / [1j, 1, 1, 1]),
-        _trial_max(cur.block_current(pair) - from_pair),
-    )
+    # the column bilinears in Euclidean components
+    from_psi = cur.spinor_current(psi) / [1j, 1, 1, 1]
+    gaps = from_pair - from_psi, cur.block_current(pair) - from_pair
+    return np.stack([_trial_max(gap) for gap in gaps], axis=1)
 
 
 def _case_current_rest_frame(rng, cfg):
     pair = dr.spinor_to_pair(np.array([1.0, 0, 0, 0], dtype=complex))
-    yield _max_abs(cur.pair_current(pair) - np.array([-1j, 0, 0, 0]))
+    return _max_abs(cur.pair_current(pair) - np.array([-1j, 0, 0, 0]))
 
 
 def _case_current_scaling(rng, cfg):
@@ -1118,8 +1108,8 @@ def _case_current_scaling(rng, cfg):
     psi, c = _trials(rng, cfg.trials, draw)
     j1 = cur.pair_current(dr.spinor_to_pair(psi))
     j2 = cur.pair_current(dr.spinor_to_pair(c[:, None] * psi))
-    yield from _trial_max(j2 - (abs(c) ** 2)[:, None] * j1).tolist()
-    yield _max_abs(cur.pair_current(dr.spinor_to_pair(np.zeros(4, dtype=complex))))
+    zero = _max_abs(cur.pair_current(dr.spinor_to_pair(np.zeros(4, dtype=complex))))
+    return np.append(_trial_max(j2 - (abs(c) ** 2)[:, None] * j1), zero)
 
 
 def _case_current_density_positive(rng, cfg):
@@ -1127,15 +1117,12 @@ def _case_current_density_positive(rng, cfg):
     positive = cur.spinor_current(psi)[:, 0] >= 0  # NaN fails too
     # Euclidean temporal component is purely imaginary, spatial real
     je = cur.pair_current(dr.spinor_to_pair(psi))
-    real, imag = np.abs(je[:, 0].real).tolist(), _trial_max(je[:, 1:].imag).tolist()
-    for good, re, im in zip(positive.tolist(), real, imag):
-        if not good:
-            yield 1.0
-        yield re
-        yield im
+    residuals = np.stack([np.abs(je[:, 0].real), _trial_max(je[:, 1:].imag)], axis=1)
+    return residuals if positive.all() else np.append(residuals, 1.0)
 
 
 def _case_current_covariance(rng, cfg):
+    residuals = []
     for _ in range(cfg.trials):
         pair = dr.spinor_to_pair(rand_complex_vec(rng, 4))
         rotor = rand_rotor(rng)
@@ -1145,8 +1132,9 @@ def _case_current_covariance(rng, cfg):
         r, rc = tr.rotor_blocks(rotor)
         j_after = (r * bl.Reflector(j, j.quat_conj()) * rc).upper
         oracle = _matrix_oracle(rotor) @ quat_to_minkowski(j)
-        yield _max_abs(quat_to_minkowski(j_after) - oracle)
-        yield (j_after - tr.four_vector_transform(j, rotor)).max_abs()
+        gap = j_after - tr.four_vector_transform(j, rotor)
+        residuals.append((_max_abs(quat_to_minkowski(j_after) - oracle), gap.max_abs()))
+    return residuals
 
 
 # ---------------------------------------------------------------------------
@@ -1159,15 +1147,15 @@ def _mode_divergence(rng, trials: int, count: int):
         return rand_field(rng), *_draw_solutions(rng, count)
 
     fd, *draws = _trials(rng, trials, draw)
-    return cur.current_divergence(_solutions(fd, draws), fd).tolist()
+    return cur.current_divergence(_solutions(fd, draws), fd)
 
 
 def _case_single_mode_divergence(rng, cfg):
-    yield from _mode_divergence(rng, max(1, cfg.trials // 10), 1)
+    return _mode_divergence(rng, max(1, cfg.trials // 10), 1)
 
 
 def _case_two_mode_divergence(rng, cfg):
-    yield from _mode_divergence(rng, cfg.trials, 2)
+    return _mode_divergence(rng, cfg.trials, 2)
 
 
 def _case_transformed_divergence(rng, cfg):
@@ -1175,17 +1163,19 @@ def _case_transformed_divergence(rng, cfg):
         return rand_field(rng), rand_rotor(rng), *_draw_solutions(rng, 2)
 
     # the trials of one exponent are consecutive: one stack per exponent
+    residuals = []
     for n, block in itertools.groupby(_n_draws(cfg)):
         fd, rotor, *draws = _trials(rng, len(list(block)), draw)
         spec = tr.TransformSpec(rotor, n)
-        yield from cur.current_divergence(_solutions(fd, draws), fd, spec).tolist()
+        residuals.append(cur.current_divergence(_solutions(fd, draws), fd, spec))
+    return np.concatenate(residuals)
 
 
 def _case_off_shell_guard(rng, cfg):
     fd = dr.FieldData(1.0)
     mode = dr.PlaneWaveMode(0.5, np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]))
     pair = dr.spinor_to_pair(mode.amplitude)
-    yield _raises(cur.NotASolution, cur.current_divergence, [(pair, mode)], fd)
+    return _raises(cur.NotASolution, cur.current_divergence, [(pair, mode)], fd)
 
 
 def _current_grid(solutions, shape, spacing) -> np.ndarray:
@@ -1233,7 +1223,7 @@ def _case_fd_divergence_convergence(rng, cfg):
     def error(shape, spacing):
         return _fd_divergence_max(_current_grid(solutions, shape, spacing), spacing)
 
-    yield _convergence_gap(error, 9, _GRID_SPACING)
+    return _convergence_gap(error, 9, _GRID_SPACING)
 
 
 def _symbol_convergence_gap(apply, amplitude, exact, energy, momentum, side, h):
@@ -1256,7 +1246,7 @@ def _case_fd_symbol_convergence(rng, cfg):
     fd = rand_field(rng)
     pair, mode = rand_solution(rng, fd)
     sym, _ = dr.momentum_symbol(mode)
-    yield _symbol_convergence_gap(
+    return _symbol_convergence_gap(
         fd_apply_D, pair.phi1, sym * pair.phi1, mode.energy, mode.momentum, 9,
         _GRID_SPACING,
     )
@@ -1280,23 +1270,25 @@ def _rand_radiation_field(rng, count=3) -> tuple[cur.RadiationMode, ...]:
 
 def _case_radiation_solve(rng, cfg):
     source = _trials(rng, cfg.trials, _rand_radiation_field)
-    yield from cur.radiation_residual(source, cur.solve_potential(source)).tolist()
+    return cur.radiation_residual(source, cur.solve_potential(source))
 
 
 def _case_radiation_example(rng, cfg):
     amp = rand_euclidean_quat(rng)
     source = (cur.RadiationMode(amp, 2.0, np.array([1.0, 0, 0])),)
     potential = cur.solve_potential(source)
-    yield (potential[0].amplitude - amp / 3.0).max_abs()
-    yield cur.radiation_residual(source, potential)
+    gap = potential[0].amplitude - amp / 3.0
+    return [gap.max_abs(), cur.radiation_residual(source, potential)]
 
 
 def _case_lightlike_guard(rng, cfg):
     x_axis = np.array([1.0, 0, 0])
     lightlike = (cur.RadiationMode(qt.ONE, 1.0, x_axis),)
-    yield _raises(cur.LightlikeMode, cur.solve_potential, lightlike)
     zero = (cur.RadiationMode(Quat(), 2.0, x_axis),)
-    yield cur.solve_potential(zero)[0].amplitude.max_abs()
+    return [
+        _raises(cur.LightlikeMode, cur.solve_potential, lightlike),
+        cur.solve_potential(zero)[0].amplitude.max_abs(),
+    ]
 
 
 def _case_radiation_transformed(rng, cfg):
@@ -1305,13 +1297,13 @@ def _case_radiation_transformed(rng, cfg):
 
     *source, rotor = _trials(rng, cfg.trials, draw)
     potential = cur.solve_potential(source)
-    yield from cur.radiation_residual(source, potential, rotor).tolist()
+    return cur.radiation_residual(source, potential, rotor)
 
 
 def _case_dalembertian_fd(rng, cfg):
     mode = _rand_radiation_field(rng, count=1)[0]
     exact = mode.wave_operator() * mode.amplitude
-    yield _symbol_convergence_gap(
+    return _symbol_convergence_gap(
         lambda grid: fd_apply_D(fd_apply_D(grid, conjugate=True)),
         mode.amplitude, exact, mode.omega, mode.wavevector, 11, _GRID_SPACING,
     )
@@ -1323,7 +1315,7 @@ def _case_dalembertian_fd(rng, cfg):
 @dataclass(frozen=True)
 class _Case:
     name: str
-    fn: object  # generator function (rng, cfg) -> residuals
+    fn: object  # (rng, cfg) -> residuals, an array or a list of floats
     tol: float
     kind: str  # "residual" (tol scales with --tol), "guard" or "order"
 
@@ -1454,10 +1446,10 @@ def _suite_cases(name: str) -> list[tuple[str, _Case]]:
 
 
 def _run_case(case: _Case, rng: np.random.Generator, cfg: SuiteConfig) -> CaseResult:
-    """Run and time one case, and reduce the residuals it yields to the largest.
+    """Run and time one case, and reduce the residuals it returns to the largest.
 
     Only ``residual`` tolerances scale with ``cfg.tol``.  A NaN residual
-    makes the largest NaN, which fails; so does a case that yields nothing.
+    makes the largest NaN, which fails; so does a case that returns none.
     An exception inside the case fails it with residual inf and is reported
     on stderr, so that the remaining cases still run.  A residual that is
     not finite fails even when the scaled tolerance overflows to inf.
@@ -1470,7 +1462,7 @@ def _run_case(case: _Case, rng: np.random.Generator, cfg: SuiteConfig) -> CaseRe
     start = time.perf_counter()
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            residuals = np.fromiter(case.fn(rng, cfg), dtype=float)
+            residuals = np.asarray(case.fn(rng, cfg), dtype=float)
     except Exception as exc:  # a faulty case must not stop the suite
         print(
             "case %s raised %s: %s" % (case.name, type(exc).__name__, exc),
@@ -1479,7 +1471,7 @@ def _run_case(case: _Case, rng: np.random.Generator, cfg: SuiteConfig) -> CaseRe
         worst = math.inf
     else:
         if residuals.size == 0:
-            print("case %s yielded no residuals" % case.name, file=sys.stderr)
+            print("case %s returned no residuals" % case.name, file=sys.stderr)
             worst = math.nan
         else:
             worst = float(np.max(residuals))

@@ -336,8 +336,10 @@ def from_matrix(m) -> Quat:
     if m.shape[-2:] != (2, 2):
         raise ValueError("expected a 2x2 matrix, got shape %r" % (m.shape,))
     m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    q0 = (m00 + m11) / 2.0
-    q3 = (m11 - m00) / 2j
-    q2 = (m10 - m01) / 2.0
-    q1 = (m01 + m10) * 1j / 2.0
+    # an infinite entry makes NaN components: Quat refuses them, quietly
+    with np.errstate(invalid="ignore", over="ignore"):
+        q0 = (m00 + m11) / 2.0
+        q3 = (m11 - m00) / 2j
+        q2 = (m10 - m01) / 2.0
+        q1 = (m01 + m10) * 1j / 2.0
     return Quat(q0, q1, q2, q3)

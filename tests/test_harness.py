@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import subprocess
@@ -200,14 +201,12 @@ def test_suite_config_validation():
 
 
 def test_exponent_cases_draw_exactly_trials_instances():
-    exponent_cases = (("invariance", "n_invariance"), ("conservation", "transformed_divergence"))
+    # n_invariance and transformed_divergence return one residual per draw:
+    # test_cases_return_one_row_per_trial holds them to cfg.trials
     for trials, blocks in ((1, (1, 0, 0, 0)), (3, (1, 1, 1, 0)), (10, (3, 3, 2, 2))):
         cfg = SuiteConfig(suite="all", trials=trials)
         expected = [n for n, size in zip(cfg.n_set, blocks) for _ in range(size)]
         assert hz._n_draws(cfg) == expected
-        for suite, name in exponent_cases:
-            case = next(c for c in hz.SUITES[suite] if c.name == name)
-            assert len(list(case.fn(hz.case_rng(0, suite, name), cfg))) == trials
     # at multiples of the exponent count the draws are the equal blocks
     for trials in (4, 100, 800):
         cfg = SuiteConfig(suite="all", trials=trials)
@@ -366,7 +365,7 @@ def test_guards_fail_on_nan(monkeypatch):
 
 
 def test_guard_tolerance_does_not_scale(monkeypatch):
-    # with inversion never raising, the guard yields 1.0; at --tol 3e-10 a
+    # with inversion never raising, the guard returns 1.0; at --tol 3e-10 a
     # scaled guard tolerance would be 1.5 and let it pass
     monkeypatch.setattr(Quat, "inverse", lambda self: self.quat_conj())
     report = run_suite(SuiteConfig(suite="algebra", seed=0, trials=3, tol=3e-10))
@@ -386,7 +385,7 @@ def test_order_tolerance_does_not_scale():
 
 def test_case_without_residuals_fails(monkeypatch, capsys):
     def empty(rng, cfg):
-        yield from ()
+        return []
 
     cases = [
         dataclasses.replace(c, fn=empty) if c.name == "massless_mode" else c
@@ -396,12 +395,12 @@ def test_case_without_residuals_fails(monkeypatch, capsys):
     report = run_suite(SuiteConfig(suite="equivalence", seed=0, trials=3))
     case = _case(report, "massless_mode")
     assert math.isnan(case.max_residual) and not case.passed
-    assert "massless_mode yielded no residuals" in capsys.readouterr().err
+    assert "massless_mode returned no residuals" in capsys.readouterr().err
 
 
 def test_massless_mode_redraws_slow_momenta():
     # the first momentum these seeds draw has |p| < 0.1: it must be redrawn,
-    # not skipped, or the one-trial case yields no residual
+    # not skipped, or the one-trial case returns no residual
     for seed in (5330, 8731):
         report = run_suite(SuiteConfig(suite="equivalence", seed=seed, trials=1))
         case = _case(report, "massless_mode")
@@ -1118,28 +1117,59 @@ _LOOPS = {
 }
 
 
+_FIXED_INSTANCE_CASES = {
+    # these draw nothing
+    ("algebra", "null_inversion_guard"),
+    ("maps", "idempotent"),
+    ("blocks", "block_guards"),
+    ("equivalence", "rest_frame_values"),
+    ("current", "current_rest_frame"),
+    ("conservation", "off_shell_guard"),
+    ("radiation", "lightlike_guard"),
+    # these draw one instance, or one per fixed step
+    ("algebra", "basis_products"),
+    ("blocks", "parity_rule"),
+    ("table1", "identity_pattern"),
+    ("radiation", "radiation_example"),
+    ("conservation", "fd_divergence_convergence"),
+    ("conservation", "fd_symbol_convergence"),
+    ("radiation", "dalembertian_fd"),
+}
+
+
 def test_every_stacked_case_has_its_loop():
     cases = {(suite, case.name) for suite in hz.SUITES for case in hz.SUITES[suite]}
-    assert cases - set(_LOOPS) == {
-        # these draw nothing
-        ("algebra", "null_inversion_guard"),
-        ("maps", "idempotent"),
-        ("blocks", "block_guards"),
-        ("equivalence", "rest_frame_values"),
-        ("current", "current_rest_frame"),
-        ("conservation", "off_shell_guard"),
-        ("radiation", "lightlike_guard"),
-        # these draw one instance, or one per fixed step
-        ("algebra", "basis_products"),
-        ("blocks", "parity_rule"),
-        ("table1", "identity_pattern"),
-        ("radiation", "radiation_example"),
-        ("conservation", "fd_divergence_convergence"),
-        ("conservation", "fd_symbol_convergence"),
-        ("radiation", "dalembertian_fd"),
+    assert cases - set(_LOOPS) == _FIXED_INSTANCE_CASES | {
         # still a loop: its oracle, _matrix_oracle, runs per trial
         ("current", "current_covariance"),
     }
+
+
+# the cases that draw trials but return other than one row per trial;
+# current_density_positive would append one 1.0 more were a density to fail,
+# which |psi|^2 never does
+_ROW_COUNTS = {
+    ("conservation", "single_mode_divergence"): lambda trials: max(1, trials // 10),
+    # the trials' two checks, flattened, and one fixed check
+    ("invariance", "mass_four_vector"): lambda trials: 2 * trials + 1,
+    ("current", "current_scaling"): lambda trials: trials + 1,
+}
+
+
+def test_cases_return_one_row_per_trial():
+    # a case returns its residuals in one array, trials first, for the runner
+    # to reduce: no case is a generator
+    for suite, cases in hz.SUITES.items():
+        for case in cases:
+            assert not inspect.isgeneratorfunction(case.fn), case.name
+            if (suite, case.name) in _FIXED_INSTANCE_CASES:
+                continue
+            # 1, 3 and 10 trials split unevenly over the four exponents
+            for trials in (1, 3, 10):
+                cfg = SuiteConfig(suite=suite, trials=trials)
+                result = case.fn(hz.case_rng(0, suite, case.name), cfg)
+                rows = _ROW_COUNTS.get((suite, case.name), lambda trials: trials)
+                assert len(result) == rows(trials), (case.name, trials)
 
 
 class _Recorder:
@@ -1176,7 +1206,7 @@ def test_stacked_cases_match_their_loops(suite, name):
     for seed in (0, 1, 5):
         cfg = SuiteConfig(suite=suite, seed=seed, trials=200)
         rng, loop_rng = (_Recorder(hz.case_rng(seed, suite, name)) for _ in range(2))
-        got = list(case.fn(rng, cfg))
+        got = np.ravel(case.fn(rng, cfg))
         want = list(_LOOPS[suite, name](loop_rng, cfg))
         assert rng.drawn() == loop_rng.drawn(), seed
         # the Philox state holds arrays: compare their printed values

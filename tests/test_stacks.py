@@ -185,14 +185,30 @@ def test_stacked_rotation_matrices_are_bitwise():
         _bitwise(matrix(axes[0], angles[:1]), [matrix(axes[0], angles[0])])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_stacked_from_matrix_guards():
     for shape in ((2,), (3, 3), (COUNT, 2, 3), (COUNT, 4)):
         with pytest.raises(ValueError, match="2x2"):
             qt.from_matrix(np.zeros(shape))
-    matrices = np.zeros((COUNT, 2, 2), dtype=complex)
-    matrices[6, 1, 0] = math.nan
-    with pytest.raises(ValueError, match=r"finite.*member \(6,\)"):
-        qt.from_matrix(matrices)
+    # a NaN or an infinite entry raises the ValueError, with no NumPy warning
+    for bad in (math.nan, math.inf):
+        matrices = np.zeros((COUNT, 2, 2), dtype=complex)
+        matrices[6, 1, 0] = bad
+        with pytest.raises(ValueError, match=r"finite.*member \(6,\)"):
+            qt.from_matrix(matrices)
+
+
+def test_stacked_reflector_trace_is_one_zero_per_member():
+    _, _, _, psi, _ = _draws(9)
+    # a stack of COUNT reflectors, and one of 3 x 4
+    for stack in (Quat(*psi.T), Quat(*psi.T.reshape(4, 3, 4))):
+        shape = np.shape(stack.temporal)
+        for upper, lower in ((stack, ONE), (ONE, stack), (stack, stack)):
+            trace = Reflector(upper, lower).trace()
+            assert all(np.shape(c) == shape for c in trace.components)
+            assert not np.any(trace.components)
+    # the trace of one reflector stays the scalar zero
+    assert Reflector(Quat(*psi[0]), ONE).trace() == Quat()
 
 
 def test_stacked_hamiltonian_and_modes_are_bitwise():
