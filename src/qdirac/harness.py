@@ -12,13 +12,14 @@ Each suite is an ordered list of cases.  A case is a function that draws
 its instances from a counter-based generator keyed by (seed, suite, case
 name), so it draws the same instances under ``all`` as under its own suite,
 and returns its residuals in one float array; ``_run_case`` reduces it to
-the largest.  A case that draws trials draws all of them as a loop over
-them would, makes one library call per check on the stack (see
-``quaternion``) and returns ``(trials,)`` or ``(trials, checks)``, whose
-ravel is the loop's residuals in order; ``mass_four_vector`` and
-``current_scaling`` append one fixed check.  A case of fixed instances
-returns a scalar or a short list.  A case passes when its largest residual
-is at most its pinned tolerance.
+the largest.  A case that draws trials draws each variable for all of them
+in one generator call (a rejection draw redraws only its rejected rows, one
+call per pass, in ``_redraw``), makes one library call per check on the
+stack (see ``quaternion``) and returns ``(trials,)`` or ``(trials,
+checks)``, whose ravel is a loop over the trials' residuals in order;
+``mass_four_vector`` and ``current_scaling`` append one fixed check.  A
+case of fixed instances returns a scalar or a short list.  A case passes
+when its largest residual is at most its pinned tolerance.
 Cases come in three kinds: only ``residual`` tolerances scale with
 ``cfg.tol / 1e-10``, while ``guard`` cases (return 0 or 1, and 1 when the
 guarded quantity is NaN) and ``order`` cases (return the gap of a
@@ -57,7 +58,7 @@ from . import dirac as dr
 from . import quaternion as qt
 from . import spinor_maps as sm
 from . import transforms as tr
-from .quaternion import Quat, _last_axis
+from .quaternion import Quat, _first_member, _last_axis
 
 __all__ = [
     "SuiteConfig",
@@ -345,20 +346,31 @@ def minkowski_to_quat(v) -> Quat:
 def _matrix_oracle(rotor: Quat) -> np.ndarray:
     """Rotation matrix of a rotor whose spatial part is real, boost matrix of
     one whose temporal part is real and spatial part imaginary; any other
-    rotor, such as a rotation times a boost, raises ValueError.  A stack of
-    rotations or of boosts gives (..., 4, 4); a zero spatial part, zero axis."""
+    rotor, such as a rotation times a boost, raises ValueError naming the
+    first such member of a stack.  A stack gives (..., 4, 4), each member
+    by its own formula; a zero spatial part gives a zero axis."""
     c = np.array(rotor.components)
     c = c.transpose(*range(1, c.ndim), 0)  # components last
     c0, spatial = c[..., 0], c[..., 1:]
-    if not spatial.imag.any():
-        norm = np.linalg.norm(spatial.real, axis=-1)
-        axis = spatial.real / np.where(norm > 0, norm, 1.0)[..., None]
-        return rotation_matrix4(axis, 2.0 * np.arctan2(norm, c0.real))
-    if c0.imag.any() or spatial.real.any():
+    rotation = ~spatial.imag.any(axis=-1)
+    neither = ~rotation & ((c0.imag != 0) | spatial.real.any(axis=-1))
+    if neither.ndim == 0 and neither:
         raise ValueError("rotor is neither a rotation nor a boost: %r" % (rotor,))
-    norm = np.linalg.norm(spatial.imag, axis=-1)
-    axis = spatial.imag / np.where(norm > 0, norm, 1.0)[..., None]
-    return boost_matrix4(axis, np.copysign(2.0 * np.arcsinh(norm), c0.real))
+    if neither.any():
+        at = _first_member(neither)
+        raise ValueError(
+            "rotor is neither a rotation nor a boost at member %r: %r"
+            % (at, Quat(*c[at]))
+        )
+    # a rotation's axis is its real spatial part, a boost's the imaginary one
+    v = np.where(rotation[..., None], spatial.real, spatial.imag)
+    norm = np.linalg.norm(v, axis=-1)
+    axis = v / np.where(norm > 0, norm, 1.0)[..., None]
+    return np.where(
+        rotation[..., None, None],
+        rotation_matrix4(axis, 2.0 * np.arctan2(norm, c0.real)),
+        boost_matrix4(axis, np.copysign(2.0 * np.arcsinh(norm), c0.real)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -378,87 +390,82 @@ def rand_complex_vec(rng, *shape: int) -> np.ndarray:
     return u[..., 0, :] + 1j * u[..., 1, :]
 
 
-def rand_euclidean_quat(rng) -> Quat:
-    u = rng.uniform(-1.0, 1.0, 4)
-    return Quat(1j * u[0], u[1], u[2], u[3])
+def _redraw(rng, count: int, draw, accept) -> np.ndarray:
+    """``draw(rng, count)``, an array with one row per item, with each row
+    that ``accept`` rejects drawn again whole: every pass makes one
+    ``draw(rng, k)`` call for the k rows still rejected, until ``accept``
+    holds for every row."""
+    rows = draw(rng, count)
+    todo = np.flatnonzero(~accept(rows))
+    while todo.size:
+        fresh = draw(rng, todo.size)
+        rows[todo] = fresh
+        todo = todo[~accept(fresh)]
+    return rows
 
 
-def _rand_invertible(rng, count: int = 1) -> np.ndarray:
-    """``count`` rand_complex_vec(rng, 4) draws, each redrawn until |modulus| > 0.1."""
-    rows = []
-    while len(rows) < count:
-        z = rand_complex_vec(rng, 4)
-        if abs(Quat(*z).modulus()) > 0.1:
-            rows.append(z)
-    return np.array(rows)
+def rand_euclidean_quat(rng, count: int) -> Quat:
+    u = rng.uniform(-1.0, 1.0, (count, 4))
+    return Quat(1j * u[:, 0], u[:, 1], u[:, 2], u[:, 3])
 
 
-def rand_unit3(rng) -> np.ndarray:
-    while True:
-        v = rng.normal(size=3)
-        n = np.linalg.norm(v)
-        if n > 1e-3:
-            return v / n
+def _rand_invertible(rng, count: int) -> np.ndarray:
+    """``rand_complex_vec(rng, count, 4)`` with each row redrawn until the
+    complex modulus of its quaternion exceeds 0.1."""
+    return _redraw(
+        rng, count, lambda rng, k: rand_complex_vec(rng, k, 4),
+        lambda z: np.abs(Quat(*z.T).modulus()) > 0.1,
+    )
 
 
-def rand_momentum(rng) -> np.ndarray:
-    while True:
-        p = rng.uniform(-2.0, 2.0, 3)
-        if np.linalg.norm(p) <= 2.0:
-            return p
+def rand_unit3(rng, count: int) -> np.ndarray:
+    v = _redraw(
+        rng, count, lambda rng, k: rng.normal(size=(k, 3)),
+        lambda v: np.linalg.norm(v, axis=-1) > 1e-3,
+    )
+    return v / np.linalg.norm(v, axis=-1)[:, None]
 
 
-def rand_rotation(rng) -> Quat:
-    """A rotation by [0, pi) about a random axis."""
-    return tr.rotor_spatial(rand_unit3(rng), rng.uniform(0.0, math.pi))
+def rand_momentum(rng, count: int) -> np.ndarray:
+    return _redraw(
+        rng, count, lambda rng, k: rng.uniform(-2.0, 2.0, (k, 3)),
+        lambda p: np.linalg.norm(p, axis=-1) <= 2.0,
+    )
 
 
-def rand_boost(rng) -> Quat:
-    """A boost of rapidity [-2, 2) along a random axis."""
-    return tr.rotor_boost(rand_unit3(rng), rng.uniform(-2.0, 2.0))
+def rand_rotation(rng, count: int) -> Quat:
+    """Rotations by [0, pi) about random axes."""
+    return tr.rotor_spatial(rand_unit3(rng, count), rng.uniform(0.0, math.pi, count))
 
 
-def rand_rotor(rng) -> Quat:
-    """``rand_rotation`` or ``rand_boost``, as a coin falls."""
-    return rand_rotation(rng) if rng.integers(2) == 0 else rand_boost(rng)
+def rand_boost(rng, count: int) -> Quat:
+    """Boosts of rapidity [-2, 2) along random axes."""
+    return tr.rotor_boost(rand_unit3(rng, count), rng.uniform(-2.0, 2.0, count))
 
 
-def rand_field(rng, with_potential: bool = False) -> dr.FieldData:
-    mass = rng.uniform(0.1, 2.0)
-    potential = rng.uniform(-1.0, 1.0, 4) if with_potential else np.zeros(4)
+def rand_rotor(rng, count: int) -> Quat:
+    """``rand_rotation`` or ``rand_boost`` of each member, as its coin falls."""
+    coins = rng.integers(2, size=count)
+    rotations, boosts = rand_rotation(rng, count), rand_boost(rng, count)
+    return Quat(*np.where(coins == 0, rotations.components, boosts.components))
+
+
+def rand_field(rng, count: int, with_potential: bool = False) -> dr.FieldData:
+    mass = rng.uniform(0.1, 2.0, count)
+    shape = (count, 4)
+    potential = rng.uniform(-1.0, 1.0, shape) if with_potential else np.zeros(shape)
     return dr.FieldData(mass, potential)
 
 
-def rand_solution(rng, fd: dr.FieldData):
-    """(pair, mode) of a random zero-potential solution mode, the order
-    ``current_divergence`` takes."""
-    modes = dr.plane_wave_modes(rand_momentum(rng), fd)
-    mode = modes[int(rng.integers(4))]
-    return dr.spinor_to_pair(mode.amplitude), mode
-
-
-def _draw_state(rng, with_potential: bool = True):
-    """One trial's draws of a random solution state: the field, the momentum
-    and which of the four plane-wave modes, as ``rand_solution`` draws them."""
-    fd = rand_field(rng, with_potential=with_potential)
-    return fd, rand_momentum(rng), int(rng.integers(4))
-
-
-def _draw_state_and_rotor(rng, with_potential: bool = True):
-    return (*_draw_state(rng, with_potential), rand_rotor(rng))
-
-
-def _stack(draws):
-    """One trial's draws after another as one stack over the trials: a
-    ``Quat`` of component arrays, a ``FieldData`` or ``RadiationMode`` of
-    stacked fields, or an array with the trials first."""
-    first = draws[0]
-    if isinstance(first, Quat):
-        return Quat(*np.array([q.components for q in draws]).T)
-    if isinstance(first, (dr.FieldData, cur.RadiationMode)):
-        fields = [[getattr(d, f.name) for d in draws] for f in dataclasses.fields(first)]
-        return type(first)(*map(_stack, fields))
-    return np.array(draws)
+def _member(x, rows):
+    """Members ``rows`` of a stacked draw, or with an integer its one member:
+    of a ``Quat``, a dataclass of stacked fields or an array."""
+    if isinstance(x, Quat):
+        return Quat(*(c[rows] for c in x.components))
+    if dataclasses.is_dataclass(x):
+        fields = dataclasses.fields(x)
+        return type(x)(*(_member(getattr(x, f.name), rows) for f in fields))
+    return x[rows]
 
 
 def _quats(z) -> list[Quat]:
@@ -466,37 +473,26 @@ def _quats(z) -> list[Quat]:
     return [Quat(*column.T) for column in z.swapaxes(0, 1)]
 
 
-def _trials(rng, count: int, draw) -> list:
-    """Call ``draw(rng)`` ``count`` times, so that the generator is read as a
-    loop over the trials reads it, and stack each value that ``draw``
-    returns over the trials."""
-    rows = [draw(rng) for _ in range(count)]
-    return [_stack(column) for column in zip(*rows)]
-
-
-def _modes(fd: dr.FieldData, p: np.ndarray, pick: np.ndarray) -> dr.PlaneWaveMode:
-    """The stacked mode of the stacked draws of ``_draw_state``: mode
-    ``pick`` of each trial's four plane-wave modes."""
+def _rand_mode(rng, fd: dr.FieldData) -> dr.PlaneWaveMode:
+    """One solution mode per member of ``fd``: a random momentum, and which
+    of its four plane-wave modes."""
+    count = len(fd.mass)
+    p, pick = rand_momentum(rng, count), rng.integers(4, size=count)
     modes = dr.plane_wave_modes(p, fd)
-    rows = np.arange(len(pick))
+    rows = np.arange(count)
     energy = np.stack([mode.energy for mode in modes], axis=-1)[rows, pick]
     amplitude = np.stack([mode.amplitude for mode in modes], axis=-2)[rows, pick]
     return dr.PlaneWaveMode(energy, p, amplitude)
 
 
-def _states(fd: dr.FieldData, p: np.ndarray, pick: np.ndarray) -> dr.DiracState:
-    return dr.state_from_mode(_modes(fd, p, pick), fd)
+def _solution(mode: dr.PlaneWaveMode):
+    """(pair, mode), the order ``current_divergence`` takes."""
+    return dr.spinor_to_pair(mode.amplitude), mode
 
 
-def _draw_solutions(rng, count: int) -> list:
-    """Momentum and pick of ``count`` modes, as ``rand_solution`` draws them."""
-    return [x for _ in range(count) for x in (rand_momentum(rng), rng.integers(4))]
-
-
-def _solutions(fd: dr.FieldData, draws) -> list:
-    """(pair, mode) stacks of the stacked draws of ``_draw_solutions``."""
-    modes = [_modes(fd, p, pick) for p, pick in zip(draws[::2], draws[1::2])]
-    return [(dr.spinor_to_pair(mode.amplitude), mode) for mode in modes]
+def _rand_states(rng, count: int, with_potential: bool = True) -> dr.DiracState:
+    fd = rand_field(rng, count, with_potential)
+    return dr.state_from_mode(_rand_mode(rng, fd), fd)
 
 
 def _n_draws(cfg) -> list[int]:
@@ -504,6 +500,15 @@ def _n_draws(cfg) -> list[int]:
     whose sizes differ by at most one, the first blocks the larger."""
     per_n, extra = divmod(cfg.trials, len(cfg.n_set))
     return [n for k, n in enumerate(cfg.n_set) for _ in range(per_n + (k < extra))]
+
+
+def _n_blocks(cfg):
+    """Each exponent of ``_n_draws`` with the slice of its consecutive trials."""
+    start = 0
+    for n, block in itertools.groupby(_n_draws(cfg)):
+        stop = start + len(list(block))
+        yield n, slice(start, stop)
+        start = stop
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +595,7 @@ def _case_real_conjugations_coincide(rng, cfg):
 
 
 def _case_modulus_inverse(rng, cfg):
-    q = Quat(*_trials(rng, cfg.trials, _rand_invertible)[0].T)
+    q = Quat(*_rand_invertible(rng, cfg.trials).T)
     inv = q.inverse()
     gaps = inv * q - qt.ONE, q * inv - qt.ONE
     return np.stack([gap.max_abs() for gap in gaps], axis=1)
@@ -636,10 +641,7 @@ def _case_ideal_double(rng, cfg):
 
 
 def _case_lift_commutation(rng, cfg):
-    def draw(rng):
-        return rng.uniform(-1.0, 1.0, 4), rng.integers(4)
-
-    u, pick = _trials(rng, cfg.trials, draw)
+    u, pick = rng.uniform(-1.0, 1.0, (cfg.trials, 4)), rng.integers(4, size=cfg.trials)
     q, basis = Quat(*u.T), Quat(*np.eye(4)[pick].T)
     col = (qt.to_matrix(basis) @ sm.map_F(q)[..., None])[..., 0]
     gaps = sm.lift_G(col) - basis * q, sm.lift_G(1j * col) - basis * q * (-qt.I3)
@@ -681,18 +683,15 @@ def _case_bijection_roundtrip(rng, cfg):
 # ---------------------------------------------------------------------------
 # blocks suite
 
-def _draw_blocks(rng, count: int = 1, entries=lambda rng: rand_complex_vec(rng, 2, 4)):
-    """``count`` blocks of random class: 0 (reflector) or 1 (rotator), then entries."""
-    return [x for _ in range(count) for x in (rng.integers(2), entries(rng))]
-
-
 def _either_class(z) -> list:
     """The stacked reflectors and rotators of the entries (trials, 2, 4)."""
     return [cls(*_quats(z)) for cls in (bl.Reflector, bl.Rotator)]
 
 
 def _case_product_vs_embedding(rng, cfg):
-    kx, zx, ky, zy = _trials(rng, cfg.trials, functools.partial(_draw_blocks, count=2))
+    # each block's class: 0 (reflector) or 1 (rotator)
+    kx, ky = rng.integers(2, size=(2, cfg.trials))
+    zx, zy = rand_complex_vec(rng, 2, cfg.trials, 2, 4)
     gaps = [
         [_trial_max(embed4(x * y) - embed4(x) @ embed4(y)) for y in _either_class(zy)]
         for x in _either_class(zx)
@@ -727,12 +726,8 @@ def _case_trace_embedding(rng, cfg):
 
 
 def _case_trace_temporal_similarity(rng, cfg):
-    def draw(rng):
-        return rand_complex_vec(rng, 2, 4), rand_rotor(rng).components
-
-    z, rotor = _trials(rng, cfg.trials, draw)
-    x = bl.Rotator(*_quats(z))
-    r, rc = tr.rotor_blocks(Quat(*rotor.T))
+    x = bl.Rotator(*_quats(rand_complex_vec(rng, cfg.trials, 2, 4)))
+    r, rc = tr.rotor_blocks(rand_rotor(rng, cfg.trials))
     y = r * x * rc
     # per-block temporal components are individually preserved
     gaps = y.trace() - x.trace(), y.upper - x.upper, y.lower - x.lower
@@ -740,13 +735,10 @@ def _case_trace_temporal_similarity(rng, cfg):
 
 
 def _case_reflector_equation_invariance(rng, cfg):
-    def draw(rng):
-        return *_rand_invertible(rng, 2), rand_rotor(rng).components
-
-    q, p, rotor = (Quat(*z.T) for z in _trials(rng, cfg.trials, draw))
+    q, p = (Quat(*_rand_invertible(rng, cfg.trials).T) for _ in range(2))
     qq, pp = (bl.Reflector(x, x.quat_conj()) for x in (q, p))
     ww = pp.inverse() * qq * pp
-    r, rc = tr.rotor_blocks(rotor)
+    r, rc = tr.rotor_blocks(rand_rotor(rng, cfg.trials))
     qq2, pp2, ww2 = (r * x * rc for x in (qq, pp, ww))
     gaps = qq * pp - pp * ww, qq2 * pp2 - pp2 * ww2
     return np.stack([gap.max_abs() for gap in gaps], axis=1)
@@ -754,8 +746,8 @@ def _case_reflector_equation_invariance(rng, cfg):
 
 def _case_block_inverse(rng, cfg):
     ident = embed4(bl.identity_rotator())
-    entries = functools.partial(_rand_invertible, count=2)
-    pick, z = _trials(rng, cfg.trials, lambda rng: _draw_blocks(rng, 1, entries))
+    pick = rng.integers(2, size=cfg.trials)
+    z = _rand_invertible(rng, 2 * cfg.trials).reshape(cfg.trials, 2, 4)
     gaps = [_trial_max(embed4(x.inverse() * x) - ident) for x in _either_class(z)]
     return np.array(gaps)[pick, np.arange(cfg.trials)]
 
@@ -780,19 +772,15 @@ _PATTERN_COEFFS = {
 }
 
 
-def _draw_rotation(rng):
-    angle, axis = rng.uniform(0.05, math.pi - 0.05), rand_unit3(rng)
-    return angle, axis, tr.rotor_spatial(axis, angle).components
-
-
 def _case_pattern_row(pattern):
     coeff_s, coeff_t = _PATTERN_COEFFS[pattern]
 
     def case(rng, cfg):
-        angle, axis, rotor = _trials(rng, cfg.trials, _draw_rotation)
+        angle = rng.uniform(0.05, math.pi - 0.05, cfg.trials)
+        axis = rand_unit3(rng, cfg.trials)
+        rotor = tr.rotor_spatial(axis, angle)
         spatial = rotation_matrix4(axis, coeff_s * angle)
         want = temporal_rotation_matrix4(axis, coeff_t * angle) @ spatial
-        rotor = Quat(*rotor.T)
         # column k is the pattern applied to the basis quaternion k
         got = [tr.pattern_rotate(pattern, rotor, b).components for b in qt.BASIS]
         return _trial_max(np.array(got).T - want)
@@ -810,28 +798,21 @@ def _case_identity_pattern(rng, cfg):
 # ---------------------------------------------------------------------------
 # invariance suite (four-vector laws, boosts, exponent-n transformation)
 #
-# The rotors of the stacked cases are drawn per trial in the draw pass of
-# ``_trials``; ``_matrix_oracle`` then runs once on each stack of them.
+# Each case draws its rotors as stacks, and ``_matrix_oracle`` runs once on
+# each stack of them.
 
 def _case_boost_unit_time(rng, cfg):
     unit_time = minkowski_to_quat([1.0, 0, 0, 0])
-
-    def draw(rng):
-        axis = rand_unit3(rng)
-        w = rng.uniform(-2.0, 2.0)
-        want = np.concatenate([[math.cosh(w)], math.sinh(w) * axis])
-        return tr.rotor_boost(axis, w), want
-
-    rotor, want = _trials(rng, cfg.trials, draw)
-    moved = tr.four_vector_transform(unit_time, rotor)
+    axis, w = rand_unit3(rng, cfg.trials), rng.uniform(-2.0, 2.0, cfg.trials)
+    want = np.concatenate([np.cosh(w)[:, None], np.sinh(w)[:, None] * axis], axis=1)
+    moved = tr.four_vector_transform(unit_time, tr.rotor_boost(axis, w))
     return _trial_max(quat_to_minkowski(moved) - want)
 
 
 def _case_four_vector_vs_matrix(rng, cfg):
-    draw = (rand_rotation, rand_euclidean_quat, rand_boost, rand_euclidean_quat)
-    draws = _trials(rng, cfg.trials, lambda rng: [f(rng) for f in draw])
     gaps = []
-    for rotor, q in (draws[:2], draws[2:]):
+    for draw in (rand_rotation, rand_boost):
+        rotor, q = draw(rng, cfg.trials), rand_euclidean_quat(rng, cfg.trials)
         got = quat_to_minkowski(tr.four_vector_transform(q, rotor))
         want = _matrix_oracle(rotor) @ quat_to_minkowski(q)[..., None]
         gaps.append(_trial_max(got - want[..., 0]))
@@ -839,10 +820,7 @@ def _case_four_vector_vs_matrix(rng, cfg):
 
 
 def _case_interval_preservation(rng, cfg):
-    def draw(rng):
-        return rand_euclidean_quat(rng), rand_boost(rng)
-
-    q, boost = _trials(rng, cfg.trials, draw)
+    q, boost = rand_euclidean_quat(rng, cfg.trials), rand_boost(rng, cfg.trials)
     v = quat_to_minkowski(q)
     v2 = quat_to_minkowski(tr.four_vector_transform(q, boost))
 
@@ -855,24 +833,18 @@ def _case_interval_preservation(rng, cfg):
 
 def _case_composition(rng, cfg):
     move = tr.four_vector_transform
-
-    def draw(rng):
-        q = rand_euclidean_quat(rng)
-        r1, r2 = rand_rotation(rng), rand_rotation(rng)
-        axis = rand_unit3(rng)
-        w1, w2 = rng.uniform(-2, 2, 2)
-        b1, b2 = tr.rotor_boost(axis, w1), tr.rotor_boost(axis, w2)
-        boosts = (tr.rotor_boost(axis, w1 + w2), tr.rotor_boost(axis, -w1))
-        return q, r1, r2, b1, b2, *boosts
-
-    q, r1, r2, b1, b2, b12, b1_back = _trials(rng, cfg.trials, draw)
+    q = rand_euclidean_quat(rng, cfg.trials)
+    r1, r2 = rand_rotation(rng, cfg.trials), rand_rotation(rng, cfg.trials)
+    axis = rand_unit3(rng, cfg.trials)
+    w1, w2 = rng.uniform(-2, 2, (2, cfg.trials))
+    b1, b2 = tr.rotor_boost(axis, w1), tr.rotor_boost(axis, w2)
     oracle = _matrix_oracle(b1) @ _matrix_oracle(r1) @ quat_to_minkowski(q)[..., None]
     # rotation then boost: one mixed rotor, neither a rotation nor a boost
     mixed = move(q, b1 * r1)
     gaps = [
         move(move(q, r1), r2) - move(q, r2 * r1),
-        move(move(q, b1), b2) - move(q, b12),
-        move(move(q, b1), b1_back) - q,
+        move(move(q, b1), b2) - move(q, tr.rotor_boost(axis, w1 + w2)),
+        move(move(q, b1), tr.rotor_boost(axis, -w1)) - q,
         move(move(q, r1), b1) - mixed,
     ]
     matrix_gap = _trial_max(quat_to_minkowski(mixed) - oracle[..., 0])
@@ -880,10 +852,7 @@ def _case_composition(rng, cfg):
 
 
 def _case_blocks_vs_vector_path(rng, cfg):
-    def draw(rng):
-        return rand_rotor(rng), rand_euclidean_quat(rng)
-
-    rotor, q = _trials(rng, cfg.trials, draw)
+    rotor, q = rand_rotor(rng, cfg.trials), rand_euclidean_quat(rng, cfg.trials)
     r, rc = tr.rotor_blocks(rotor)
     moved = r * bl.Reflector(q, q.quat_conj()) * rc
     direct = tr.four_vector_transform(q, rotor)
@@ -892,17 +861,19 @@ def _case_blocks_vs_vector_path(rng, cfg):
 
 
 def _case_n_invariance(rng, cfg):
-    # the trials of one exponent are consecutive: one stack per exponent
+    fd = rand_field(rng, cfg.trials, with_potential=True)
+    mode, rotor = _rand_mode(rng, fd), rand_rotor(rng, cfg.trials)
+    # the trials of one exponent are consecutive: one slice per exponent
     residuals = []
-    for n, block in itertools.groupby(_n_draws(cfg)):
-        fd, p, pick, rotor = _trials(rng, len(list(block)), _draw_state_and_rotor)
-        moved = dr.transform_state(_states(fd, p, pick), tr.TransformSpec(rotor, n))
+    for n, rows in _n_blocks(cfg):
+        state = dr.state_from_mode(_member(mode, rows), _member(fd, rows))
+        moved = dr.transform_state(state, tr.TransformSpec(_member(rotor, rows), n))
         residuals.append(moved.residual().max_abs())
     return np.concatenate(residuals)
 
 
 def _case_mass_four_vector(rng, cfg):
-    fd, boost = _trials(rng, cfg.trials, lambda rng: (rand_field(rng), rand_boost(rng)))
+    fd, boost = rand_field(rng, cfg.trials), rand_boost(rng, cfg.trials)
     # the boost matrix on (mass, 0, 0, 0): its first column times the mass
     oracle = _matrix_oracle(boost)[..., 0] * fd.mass[:, None]
     state = dr.state_from_mode(dr.plane_wave_modes(np.zeros(3), fd)[3], fd)
@@ -920,10 +891,8 @@ def _case_mass_four_vector(rng, cfg):
 
 
 def _case_mass_fixed_n0(rng, cfg):
-    draw = functools.partial(_draw_state_and_rotor, with_potential=False)
-    fd, p, pick, rotor = _trials(rng, cfg.trials, draw)
-    state = _states(fd, p, pick)
-    moved = dr.transform_state(state, tr.TransformSpec(rotor, 0))
+    state = _rand_states(rng, cfg.trials, with_potential=False)
+    moved = dr.transform_state(state, tr.TransformSpec(rand_rotor(rng, cfg.trials), 0))
     return (moved.m - state.m).max_abs()
 
 
@@ -931,10 +900,8 @@ def _case_mass_fixed_n0(rng, cfg):
 # equivalence suite
 
 def _case_translated_residuals(rng, cfg):
-    def draw(rng):
-        return rand_field(rng, with_potential=True), rand_momentum(rng)
-
-    fd, p = _trials(rng, cfg.trials, draw)
+    fd = rand_field(rng, cfg.trials, with_potential=True)
+    p = rand_momentum(rng, cfg.trials)
     per_mode = []
     for mode in dr.plane_wave_modes(p, fd):
         r1, r2 = dr.pair_residual(dr.spinor_to_pair(mode.amplitude), mode, fd)
@@ -945,13 +912,10 @@ def _case_translated_residuals(rng, cfg):
 
 
 def _case_block_equals_pair(rng, cfg):
-    def draw(rng):
-        fd = rand_field(rng, with_potential=True)
-        energy, p = rng.uniform(-2, 2), rand_momentum(rng)
-        return fd, energy, p, rng.normal(size=4) + 1j * rng.normal(size=4)
-
-    fd, energy, p, amplitude = _trials(rng, cfg.trials, draw)
-    mode = dr.PlaneWaveMode(energy, p, amplitude)
+    fd = rand_field(rng, cfg.trials, with_potential=True)
+    energy, p = rng.uniform(-2, 2, cfg.trials), rand_momentum(rng, cfg.trials)
+    amplitude = rng.normal(size=(2, cfg.trials, 4))
+    mode = dr.PlaneWaveMode(energy, p, amplitude[0] + 1j * amplitude[1])
     r1, r2 = dr.pair_residual(dr.spinor_to_pair(mode.amplitude), mode, fd)
     block = dr.state_from_mode(mode, fd).residual()
     gaps = block.upper - r2, block.lower - r1
@@ -973,16 +937,12 @@ def _case_ideal_membership(rng, cfg):
 
 
 def _rand_spectra(rng, cfg, with_shift: bool = False):
-    """Draw each trial's field, momentum and, ``with_shift``, energy shift in
-    turn, stacked, and the Hamiltonian spectra (trials, 4) of one stacked
+    """The stacked fields, momenta and, ``with_shift``, energy shifts of the
+    trials, and the Hamiltonian spectra (trials, 4) of one stacked
     ``eigvalsh``."""
-
-    def draw(rng):
-        fd = rand_field(rng, with_potential=True)
-        p = rand_momentum(rng)
-        return fd, p, rng.uniform(0.5, 1.5) if with_shift else None
-
-    fd, p, shift = _trials(rng, cfg.trials, draw)
+    fd = rand_field(rng, cfg.trials, with_potential=True)
+    p = rand_momentum(rng, cfg.trials)
+    shift = rng.uniform(0.5, 1.5, cfg.trials) if with_shift else None
     return fd, p, shift, np.linalg.eigvalsh(dr.dirac_hamiltonian(p, fd))
 
 
@@ -1014,15 +974,10 @@ def _case_off_eigenvalue_nonsingular(rng, cfg):
 def _case_massless_mode(rng, cfg):
     fd = dr.FieldData(0.0)
     factor = sm.ideal_factor(1)
-
-    def draw(rng):
-        p = rand_momentum(rng)
-        while np.linalg.norm(p) < 0.1:
-            p = rand_momentum(rng)
-        return float(np.linalg.norm(p)), p
-
-    energy, p = _trials(rng, cfg.trials, draw)
-    mode = dr.PlaneWaveMode(energy, p, np.zeros(4))
+    p = _redraw(
+        rng, cfg.trials, rand_momentum, lambda p: np.linalg.norm(p, axis=-1) >= 0.1
+    )
+    mode = dr.PlaneWaveMode(np.linalg.norm(p, axis=-1), p, np.zeros(4))
     sym, sym_c = dr.momentum_symbol(mode)
     pair = dr.BispinorPair(sym * factor, sym_c * factor)
     r1, r2 = dr.pair_residual(pair, mode, fd)
@@ -1044,10 +999,6 @@ def _case_rest_frame_values(rng, cfg):
 # ---------------------------------------------------------------------------
 # symmetries suite
 
-def _rand_states(rng, cfg) -> dr.DiracState:
-    return _states(*_trials(rng, cfg.trials, _draw_state))
-
-
 def _state_gaps(a: dr.DiracState, b: dr.DiracState) -> np.ndarray:
     """Per trial, the gaps of the derivative, potential, spinor and mass
     blocks, (trials, 4)."""
@@ -1060,7 +1011,7 @@ def _state_gaps(a: dr.DiracState, b: dr.DiracState) -> np.ndarray:
 
 def _case_preserves_row(kind):
     def case(rng, cfg):
-        state = _rand_states(rng, cfg)
+        state = _rand_states(rng, cfg.trials)
         return dr.apply_discrete(state, kind).residual().max_abs()
 
     case.__name__ = "_case_%s_preserves" % kind
@@ -1068,7 +1019,7 @@ def _case_preserves_row(kind):
 
 
 def _case_involutions(rng, cfg):
-    state = _rand_states(rng, cfg)
+    state = _rand_states(rng, cfg.trials)
     gaps = []
     for kind in ("parity", "time_reversal", "charge_conjugation"):
         twice = dr.apply_discrete(dr.apply_discrete(state, kind), kind)
@@ -1077,7 +1028,7 @@ def _case_involutions(rng, cfg):
 
 
 def _case_charge_conjugation_flips_potential(rng, cfg):
-    state = _rand_states(rng, cfg)
+    state = _rand_states(rng, cfg.trials)
     image = dr.apply_discrete(state, "charge_conjugation")
     gaps = image.residual(), image.a - (-state.a)
     return np.stack([gap.max_abs() for gap in gaps], axis=1)
@@ -1102,10 +1053,7 @@ def _case_current_rest_frame(rng, cfg):
 
 
 def _case_current_scaling(rng, cfg):
-    def draw(rng):
-        return rand_complex_vec(rng, 4), complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-
-    psi, c = _trials(rng, cfg.trials, draw)
+    psi, c = rand_complex_vec(rng, cfg.trials, 4), rand_complex_vec(rng, cfg.trials)
     j1 = cur.pair_current(dr.spinor_to_pair(psi))
     j2 = cur.pair_current(dr.spinor_to_pair(c[:, None] * psi))
     zero = _max_abs(cur.pair_current(dr.spinor_to_pair(np.zeros(4, dtype=complex))))
@@ -1114,27 +1062,26 @@ def _case_current_scaling(rng, cfg):
 
 def _case_current_density_positive(rng, cfg):
     psi = rand_complex_vec(rng, cfg.trials, 4)
-    positive = cur.spinor_current(psi)[:, 0] >= 0  # NaN fails too
     # Euclidean temporal component is purely imaginary, spatial real
     je = cur.pair_current(dr.spinor_to_pair(psi))
-    residuals = np.stack([np.abs(je[:, 0].real), _trial_max(je[:, 1:].imag)], axis=1)
-    return residuals if positive.all() else np.append(residuals, 1.0)
+    # a guard column: 1 where the density is negative, or NaN
+    negative = np.where(cur.spinor_current(psi)[:, 0] >= 0, 0.0, 1.0)
+    residuals = np.abs(je[:, 0].real), _trial_max(je[:, 1:].imag), negative
+    return np.stack(residuals, axis=1)
 
 
 def _case_current_covariance(rng, cfg):
-    residuals = []
-    for _ in range(cfg.trials):
-        pair = dr.spinor_to_pair(rand_complex_vec(rng, 4))
-        rotor = rand_rotor(rng)
-        # the current quaternion transforms as a Euclidean four-vector by
-        # similarity of its reflector
-        j = Quat(*cur.pair_current(pair))
-        r, rc = tr.rotor_blocks(rotor)
-        j_after = (r * bl.Reflector(j, j.quat_conj()) * rc).upper
-        oracle = _matrix_oracle(rotor) @ quat_to_minkowski(j)
-        gap = j_after - tr.four_vector_transform(j, rotor)
-        residuals.append((_max_abs(quat_to_minkowski(j_after) - oracle), gap.max_abs()))
-    return residuals
+    pair = dr.spinor_to_pair(rand_complex_vec(rng, cfg.trials, 4))
+    rotor = rand_rotor(rng, cfg.trials)
+    # the current quaternion transforms as a Euclidean four-vector by
+    # similarity of its reflector
+    j = Quat(*cur.pair_current(pair).T)
+    r, rc = tr.rotor_blocks(rotor)
+    j_after = (r * bl.Reflector(j, j.quat_conj()) * rc).upper
+    oracle = _matrix_oracle(rotor) @ quat_to_minkowski(j)[..., None]
+    gap = j_after - tr.four_vector_transform(j, rotor)
+    matrix_gap = _trial_max(quat_to_minkowski(j_after) - oracle[..., 0])
+    return np.stack([matrix_gap, gap.max_abs()], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1142,12 +1089,9 @@ def _case_current_covariance(rng, cfg):
 
 def _mode_divergence(rng, trials: int, count: int):
     """``current_divergence`` of a field and ``count`` modes per trial."""
-
-    def draw(rng):
-        return rand_field(rng), *_draw_solutions(rng, count)
-
-    fd, *draws = _trials(rng, trials, draw)
-    return cur.current_divergence(_solutions(fd, draws), fd)
+    fd = rand_field(rng, trials)
+    solutions = [_solution(_rand_mode(rng, fd)) for _ in range(count)]
+    return cur.current_divergence(solutions, fd)
 
 
 def _case_single_mode_divergence(rng, cfg):
@@ -1159,15 +1103,14 @@ def _case_two_mode_divergence(rng, cfg):
 
 
 def _case_transformed_divergence(rng, cfg):
-    def draw(rng):
-        return rand_field(rng), rand_rotor(rng), *_draw_solutions(rng, 2)
-
-    # the trials of one exponent are consecutive: one stack per exponent
+    fd, rotor = rand_field(rng, cfg.trials), rand_rotor(rng, cfg.trials)
+    modes = [_rand_mode(rng, fd) for _ in range(2)]
+    # the trials of one exponent are consecutive: one slice per exponent
     residuals = []
-    for n, block in itertools.groupby(_n_draws(cfg)):
-        fd, rotor, *draws = _trials(rng, len(list(block)), draw)
-        spec = tr.TransformSpec(rotor, n)
-        residuals.append(cur.current_divergence(_solutions(fd, draws), fd, spec))
+    for n, rows in _n_blocks(cfg):
+        solutions = [_solution(_member(mode, rows)) for mode in modes]
+        spec = tr.TransformSpec(_member(rotor, rows), n)
+        residuals.append(cur.current_divergence(solutions, _member(fd, rows), spec))
     return np.concatenate(residuals)
 
 
@@ -1217,8 +1160,8 @@ def _convergence_gap(error, side: int, h: float) -> float:
 
 
 def _case_fd_divergence_convergence(rng, cfg):
-    fd = rand_field(rng)
-    solutions = [rand_solution(rng, fd) for _ in range(2)]
+    fd = rand_field(rng, 1)
+    solutions = [_solution(_member(_rand_mode(rng, fd), 0)) for _ in range(2)]
 
     def error(shape, spacing):
         return _fd_divergence_max(_current_grid(solutions, shape, spacing), spacing)
@@ -1243,8 +1186,7 @@ def _symbol_convergence_gap(apply, amplitude, exact, energy, momentum, side, h):
 
 
 def _case_fd_symbol_convergence(rng, cfg):
-    fd = rand_field(rng)
-    pair, mode = rand_solution(rng, fd)
+    pair, mode = _solution(_member(_rand_mode(rng, rand_field(rng, 1)), 0))
     sym, _ = dr.momentum_symbol(mode)
     return _symbol_convergence_gap(
         fd_apply_D, pair.phi1, sym * pair.phi1, mode.energy, mode.momentum, 9,
@@ -1255,26 +1197,32 @@ def _case_fd_symbol_convergence(rng, cfg):
 # ---------------------------------------------------------------------------
 # radiation suite
 
-def _rand_radiation_field(rng, count=3) -> tuple[cur.RadiationMode, ...]:
-    modes = []
-    for _ in range(count):
-        while True:
-            omega = rng.uniform(-2.0, 2.0)
-            k = rand_momentum(rng)
-            s = omega**2 - float(k @ k)
-            if abs(s) > 0.05:
-                break
-        modes.append(cur.RadiationMode(rand_euclidean_quat(rng), omega, k))
-    return tuple(modes)
+def _rand_radiation_mode(rng, count: int) -> cur.RadiationMode:
+    """``count`` radiation modes, each (omega, k) redrawn until
+    |omega**2 - k.k| > 0.05."""
+
+    def draw(rng, k):
+        return np.column_stack([rng.uniform(-2.0, 2.0, k), rand_momentum(rng, k)])
+
+    def accept(rows):
+        return np.abs(rows[:, 0] ** 2 - np.vecdot(rows[:, 1:], rows[:, 1:])) > 0.05
+
+    rows = _redraw(rng, count, draw, accept)
+    return cur.RadiationMode(rand_euclidean_quat(rng, count), rows[:, 0], rows[:, 1:])
+
+
+def _rand_radiation_field(rng, count: int) -> tuple[cur.RadiationMode, ...]:
+    """Three radiation modes per trial."""
+    return tuple(_rand_radiation_mode(rng, count) for _ in range(3))
 
 
 def _case_radiation_solve(rng, cfg):
-    source = _trials(rng, cfg.trials, _rand_radiation_field)
+    source = _rand_radiation_field(rng, cfg.trials)
     return cur.radiation_residual(source, cur.solve_potential(source))
 
 
 def _case_radiation_example(rng, cfg):
-    amp = rand_euclidean_quat(rng)
+    amp = _member(rand_euclidean_quat(rng, 1), 0)
     source = (cur.RadiationMode(amp, 2.0, np.array([1.0, 0, 0])),)
     potential = cur.solve_potential(source)
     gap = potential[0].amplitude - amp / 3.0
@@ -1292,16 +1240,13 @@ def _case_lightlike_guard(rng, cfg):
 
 
 def _case_radiation_transformed(rng, cfg):
-    def draw(rng):
-        return *_rand_radiation_field(rng), rand_rotor(rng)
-
-    *source, rotor = _trials(rng, cfg.trials, draw)
+    source, rotor = _rand_radiation_field(rng, cfg.trials), rand_rotor(rng, cfg.trials)
     potential = cur.solve_potential(source)
     return cur.radiation_residual(source, potential, rotor)
 
 
 def _case_dalembertian_fd(rng, cfg):
-    mode = _rand_radiation_field(rng, count=1)[0]
+    mode = _member(_rand_radiation_mode(rng, 1), 0)
     exact = mode.wave_operator() * mode.amplitude
     return _symbol_convergence_gap(
         lambda grid: fd_apply_D(fd_apply_D(grid, conjugate=True)),

@@ -12,6 +12,8 @@ whose complex modulus is not 1, to a tolerance relative to the sum of its
 squared component moduli, which a boost of rapidity w makes cosh(w).  Both
 laws take a stack of rotors (see ``quaternion``) and a stack of quaternions
 as well, and raise when any member of the stack is not a rotor.
+``rotor_spatial`` and ``rotor_boost`` build such a stack from stacked axes
+(..., 3) and angles (...) with the formula of one rotor.
 
 Conventions fixed here and locked by tests:
 
@@ -26,14 +28,13 @@ Conventions fixed here and locked by tests:
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import Rotator
-from .quaternion import Quat, _first_member
+from .quaternion import Quat, _first_member, _last_axis
 
 __all__ = [
     "TransformSpec",
@@ -65,28 +66,38 @@ class TransformSpec:
         object.__setattr__(self, "n", int(self.n))
 
 
-def _unit_axis(axis) -> np.ndarray:
+def _unit_axis(axis) -> tuple:
+    """The entries of a unit 3-vector, or of a stack (..., 3) of them (see
+    ``quaternion._last_axis``); ValueError names the first member of a stack
+    whose length is not 1 to within 1e-8."""
     a = np.asarray(axis, dtype=float)
-    if a.shape != (3,):
+    if a.shape[-1:] != (3,):
         raise ValueError("axis must be a 3-vector")
-    x, y, z = a.tolist()
-    if abs(math.sqrt(x * x + y * y + z * z) - 1.0) > 1e-8:
-        raise ValueError("axis must have unit length")
-    return a
+    x, y, z = _last_axis(a)
+    # a NaN length fails too
+    off = np.asarray(~(abs(np.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-8))
+    if off.any():
+        at = "" if off.ndim == 0 else " at member %r" % (_first_member(off),)
+        raise ValueError("axis must have unit length" + at)
+    return x, y, z
 
 
-def rotor_spatial(axis, angle: float) -> Quat:
-    """Unit real-component rotor for a rotation by ``angle`` about ``axis``."""
-    a = _unit_axis(axis)
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return Quat(c, s * a[0], s * a[1], s * a[2])
+def rotor_spatial(axis, angle) -> Quat:
+    """Unit real-component rotor for a rotation by ``angle`` about ``axis``;
+    axes (..., 3) and angles (...) give a stack."""
+    x, y, z = _unit_axis(axis)
+    half = np.divide(angle, 2.0)
+    c, s = np.cos(half), np.sin(half)
+    return Quat(c, s * x, s * y, s * z)
 
 
-def rotor_boost(axis, rapidity: float) -> Quat:
-    """Unit-modulus boost rotor of the given rapidity along ``axis``."""
-    a = _unit_axis(axis)
-    c, s = math.cosh(rapidity / 2.0), math.sinh(rapidity / 2.0)
-    return Quat(c, 1j * s * a[0], 1j * s * a[1], 1j * s * a[2])
+def rotor_boost(axis, rapidity) -> Quat:
+    """Unit-modulus boost rotor of the given rapidity along ``axis``; axes
+    (..., 3) and rapidities (...) give a stack."""
+    x, y, z = _unit_axis(axis)
+    half = np.divide(rapidity, 2.0)
+    c, s = np.cosh(half), np.sinh(half)
+    return Quat(c, 1j * s * x, 1j * s * y, 1j * s * z)
 
 
 ROTATION_PATTERNS = ("RQ", "QR", "RcQ", "QRc", "RQR", "RQRc", "RcQR", "RcQRc")

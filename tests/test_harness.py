@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import inspect
 import json
 import math
@@ -164,10 +163,11 @@ def _current_component_grids(solutions, shape, spacing):
 
 def test_current_grid_is_bitwise_the_per_component_loop():
     rng = np.random.default_rng(17)
-    fd = hz.rand_field(rng)
+    fd = hz.rand_field(rng, 1)
     shape = (9,) * 4
     for count in (1, 2, 3):
-        solutions = [hz.rand_solution(rng, fd) for _ in range(count)]
+        modes = [hz._member(hz._rand_mode(rng, fd), 0) for _ in range(count)]
+        solutions = [hz._solution(mode) for mode in modes]
         got = hz._current_grid(solutions, shape, _SPACING)
         want = _current_component_grids(solutions, shape, _SPACING)
         assert got.shape == (4, *shape)
@@ -337,7 +337,9 @@ def test_overflowing_stack_fails_quietly(monkeypatch, capsys):
     # a stacked case overflows as quietly as a scalar one: no NumPy warning,
     # and the inf or NaN residual fails the case instead of raising
     big = Quat(1e200j, 1e200, 1e200, 1e200)
-    monkeypatch.setattr(hz, "rand_euclidean_quat", lambda rng: big)
+    monkeypatch.setattr(
+        hz, "rand_euclidean_quat", lambda rng, count: big * np.ones(count)
+    )
     code = cli.main(["verify", "invariance", "--trials", "3", "--format", "json"])
     assert code == 1
     captured = capsys.readouterr()
@@ -523,78 +525,79 @@ def test_cli_n_set_accepts_leading_negative():
 
 
 # ---------------------------------------------------------------------------
-# The cases that draw trials draw all of them and then make one stacked
-# library call per check.  These are the loops they replaced, one library call
-# per trial.  Both read the generator in the same order, so they must yield the
-# same residuals up to rounding.  The loops draw through these copies of the
-# per-trial draws that the stacked cases replaced.
+# The cases that draw trials draw each variable for all of them in one call
+# and then make one stacked library call per check.  These are loops over the
+# trials with one library call per trial.  They draw through the same stacked
+# helpers as their case, in the same order, and index each trial, so they
+# must yield the same residuals up to rounding.
 
-def _loop_complex_vec(rng, size: int) -> np.ndarray:
-    return rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
-
-
-def _loop_complex_quat(rng):
-    return Quat(*_loop_complex_vec(rng, 4))
-
-
-def _loop_real_quat(rng):
-    return Quat(*rng.uniform(-1.0, 1.0, 4))
+def _draw_modes(rng, count: int, modes: int) -> list:
+    """The momenta and mode picks of ``modes`` calls of ``_rand_mode``."""
+    return [
+        (hz.rand_momentum(rng, count), rng.integers(4, size=count)) for _ in range(modes)
+    ]
 
 
-def _loop_invertible_quat(rng):
-    while True:
-        q = _loop_complex_quat(rng)
-        if abs(q.modulus()) > 0.1:
-            return q
+def _draw_states(rng, count: int, with_potential: bool = True):
+    """The field, momentum and mode pick of each trial of ``_rand_states``."""
+    fd = hz.rand_field(rng, count, with_potential)
+    return fd, *_draw_modes(rng, count, 1)[0]
 
 
-def _loop_block(rng, cls=None, draw=_loop_complex_quat):
-    if cls is None:
-        cls = bl.Reflector if rng.integers(2) == 0 else bl.Rotator
-    return cls(draw(rng), draw(rng))
+def _trial_mode(fd, p, pick, k: int) -> dr.PlaneWaveMode:
+    """Trial k's mode of stacked draws of a field, momenta and mode picks."""
+    return dr.plane_wave_modes(p[k], hz._member(fd, k))[pick[k]]
 
 
-def _loop_state(rng, with_potential: bool = True) -> dr.DiracState:
-    fd = hz.rand_field(rng, with_potential=with_potential)
-    _, mode = hz.rand_solution(rng, fd)
-    return dr.state_from_mode(mode, fd)
+def _trial_state(fd, p, pick, k: int) -> dr.DiracState:
+    return dr.state_from_mode(_trial_mode(fd, p, pick, k), hz._member(fd, k))
+
+
+def _trial_solution(fd, p, pick, k: int):
+    mode = _trial_mode(fd, p, pick, k)
+    return dr.spinor_to_pair(mode.amplitude), mode
 
 
 def _loop_boost_unit_time(rng, cfg):
     unit_time = hz.minkowski_to_quat([1.0, 0, 0, 0])
-    for _ in range(cfg.trials):
-        axis = hz.rand_unit3(rng)
-        w = rng.uniform(-2.0, 2.0)
+    axes = hz.rand_unit3(rng, cfg.trials)
+    for axis, w in zip(axes, rng.uniform(-2.0, 2.0, cfg.trials)):
         moved = tr.four_vector_transform(unit_time, tr.rotor_boost(axis, w))
         out = hz.quat_to_minkowski(moved)
         yield hz._max_abs(out - np.concatenate([[math.cosh(w)], math.sinh(w) * axis]))
 
 
 def _loop_four_vector_vs_matrix(rng, cfg):
-    for _ in range(cfg.trials):
-        for draw in (hz.rand_rotation, hz.rand_boost):
-            rotor = draw(rng)
-            q = hz.rand_euclidean_quat(rng)
+    draws = [
+        (draw(rng, cfg.trials), hz.rand_euclidean_quat(rng, cfg.trials))
+        for draw in (hz.rand_rotation, hz.rand_boost)
+    ]
+    for k in range(cfg.trials):
+        for rotors, quats in draws:
+            rotor, q = hz._member(rotors, k), hz._member(quats, k)
             got = hz.quat_to_minkowski(tr.four_vector_transform(q, rotor))
             yield hz._max_abs(got - hz._matrix_oracle(rotor) @ hz.quat_to_minkowski(q))
 
 
 def _loop_interval_preservation(rng, cfg):
-    for _ in range(cfg.trials):
-        q = hz.rand_euclidean_quat(rng)
+    quats = hz.rand_euclidean_quat(rng, cfg.trials)
+    boosts = hz.rand_boost(rng, cfg.trials)
+    for k in range(cfg.trials):
+        q = hz._member(quats, k)
         v = hz.quat_to_minkowski(q)
-        v2 = hz.quat_to_minkowski(tr.four_vector_transform(q, hz.rand_boost(rng)))
+        v2 = hz.quat_to_minkowski(tr.four_vector_transform(q, hz._member(boosts, k)))
         yield abs((v[0] ** 2 - v[1:] @ v[1:]) - (v2[0] ** 2 - v2[1:] @ v2[1:]))
 
 
 def _loop_composition(rng, cfg):
     move = tr.four_vector_transform
-    for _ in range(cfg.trials):
-        q = hz.rand_euclidean_quat(rng)
-        r1, r2 = hz.rand_rotation(rng), hz.rand_rotation(rng)
+    quats = hz.rand_euclidean_quat(rng, cfg.trials)
+    first, second = (hz.rand_rotation(rng, cfg.trials) for _ in range(2))
+    axes = hz.rand_unit3(rng, cfg.trials)
+    rapidities = rng.uniform(-2, 2, (2, cfg.trials))
+    for k, (axis, (w1, w2)) in enumerate(zip(axes, rapidities.T)):
+        q, r1, r2 = (hz._member(x, k) for x in (quats, first, second))
         yield (move(move(q, r1), r2) - move(q, r2 * r1)).max_abs()
-        axis = hz.rand_unit3(rng)
-        w1, w2 = rng.uniform(-2, 2, 2)
         b1, b2 = tr.rotor_boost(axis, w1), tr.rotor_boost(axis, w2)
         yield (move(move(q, b1), b2) - move(q, tr.rotor_boost(axis, w1 + w2))).max_abs()
         yield (move(move(q, b1), tr.rotor_boost(axis, -w1)) - q).max_abs()
@@ -606,9 +609,10 @@ def _loop_composition(rng, cfg):
 
 
 def _loop_blocks_vs_vector_path(rng, cfg):
-    for _ in range(cfg.trials):
-        rotor = hz.rand_rotor(rng)
-        q = hz.rand_euclidean_quat(rng)
+    rotors = hz.rand_rotor(rng, cfg.trials)
+    quats = hz.rand_euclidean_quat(rng, cfg.trials)
+    for k in range(cfg.trials):
+        rotor, q = hz._member(rotors, k), hz._member(quats, k)
         r, rc = tr.rotor_blocks(rotor)
         moved = r * bl.Reflector(q, q.quat_conj()) * rc
         direct = tr.four_vector_transform(q, rotor)
@@ -617,17 +621,18 @@ def _loop_blocks_vs_vector_path(rng, cfg):
 
 
 def _loop_n_invariance(rng, cfg):
-    for n in hz._n_draws(cfg):
-        state = _loop_state(rng)
-        moved = dr.transform_state(state, tr.TransformSpec(hz.rand_rotor(rng), n))
-        yield moved.residual().max_abs()
+    draws, rotors = _draw_states(rng, cfg.trials), hz.rand_rotor(rng, cfg.trials)
+    for k, n in enumerate(hz._n_draws(cfg)):
+        spec = tr.TransformSpec(hz._member(rotors, k), n)
+        yield dr.transform_state(_trial_state(*draws, k), spec).residual().max_abs()
 
 
 def _loop_mass_four_vector(rng, cfg):
-    for _ in range(cfg.trials):
-        fd = hz.rand_field(rng)
+    fields, boosts = hz.rand_field(rng, cfg.trials), hz.rand_boost(rng, cfg.trials)
+    for k in range(cfg.trials):
+        fd = hz._member(fields, k)
         state = dr.state_from_mode(dr.plane_wave_modes(np.zeros(3), fd)[3], fd)
-        spec = tr.TransformSpec(hz.rand_boost(rng), 1)
+        spec = tr.TransformSpec(hz._member(boosts, k), 1)
         mass_after = dr.transform_state(state, spec).m.upper
         direct = tr.four_vector_transform(Quat(fd.euclidean_mass), spec.rotor)
         yield (mass_after - direct).max_abs()
@@ -642,16 +647,19 @@ def _loop_mass_four_vector(rng, cfg):
 
 
 def _loop_mass_fixed_n0(rng, cfg):
-    for _ in range(cfg.trials):
-        state = _loop_state(rng, with_potential=False)
-        moved = dr.transform_state(state, tr.TransformSpec(hz.rand_rotor(rng), 0))
+    draws = _draw_states(rng, cfg.trials, with_potential=False)
+    rotors = hz.rand_rotor(rng, cfg.trials)
+    for k in range(cfg.trials):
+        state = _trial_state(*draws, k)
+        moved = dr.transform_state(state, tr.TransformSpec(hz._member(rotors, k), 0))
         yield (moved.m - state.m).max_abs()
 
 
 def _loop_translated_residuals(rng, cfg):
-    for _ in range(cfg.trials):
-        fd = hz.rand_field(rng, with_potential=True)
-        for mode in dr.plane_wave_modes(hz.rand_momentum(rng), fd):
+    fields = hz.rand_field(rng, cfg.trials, with_potential=True)
+    for k, p in enumerate(hz.rand_momentum(rng, cfg.trials)):
+        fd = hz._member(fields, k)
+        for mode in dr.plane_wave_modes(p, fd):
             r1, r2 = dr.pair_residual(dr.spinor_to_pair(mode.amplitude), mode, fd)
             yield r1.max_abs()
             yield r2.max_abs()
@@ -659,10 +667,13 @@ def _loop_translated_residuals(rng, cfg):
 
 
 def _loop_block_equals_pair(rng, cfg):
-    for _ in range(cfg.trials):
-        fd = hz.rand_field(rng, with_potential=True)
-        energy, p = rng.uniform(-2, 2), hz.rand_momentum(rng)
-        mode = dr.PlaneWaveMode(energy, p, rng.normal(size=4) + 1j * rng.normal(size=4))
+    fields = hz.rand_field(rng, cfg.trials, with_potential=True)
+    energies = rng.uniform(-2, 2, cfg.trials)
+    momenta = hz.rand_momentum(rng, cfg.trials)
+    re, im = rng.normal(size=(2, cfg.trials, 4))
+    for k, (energy, p) in enumerate(zip(energies, momenta)):
+        fd = hz._member(fields, k)
+        mode = dr.PlaneWaveMode(energy, p, re[k] + 1j * im[k])
         r1, r2 = dr.pair_residual(dr.spinor_to_pair(mode.amplitude), mode, fd)
         block = dr.state_from_mode(mode, fd).residual()
         yield (block.upper - r2).max_abs()
@@ -670,28 +681,26 @@ def _loop_block_equals_pair(rng, cfg):
 
 
 def _loop_spinor_roundtrip(rng, cfg):
-    for _ in range(cfg.trials):
-        psi = _loop_complex_vec(rng, 4)
+    for psi in hz.rand_complex_vec(rng, cfg.trials, 4):
         for lift in ("G", "L"):
             yield hz._max_abs(dr.pair_to_spinor(dr.spinor_to_pair(psi, lift)) - psi)
 
 
 def _loop_ideal_membership(rng, cfg):
     factor = sm.ideal_factor(1)
-    for _ in range(cfg.trials):
-        pair = dr.spinor_to_pair(_loop_complex_vec(rng, 4))
+    for psi in hz.rand_complex_vec(rng, cfg.trials, 4):
+        pair = dr.spinor_to_pair(psi)
         for phi in (pair.phi1, pair.phi2):
             yield (phi * factor - 2.0 * phi).max_abs()
 
 
 def _loop_spectra(rng, cfg, with_shift: bool = False):
-    """Draw each trial's field, momentum and, ``with_shift``, energy shift in
-    turn, then take all the Hamiltonian spectra in one stacked ``eigvalsh``."""
-    draws = []
-    for _ in range(cfg.trials):
-        fd = hz.rand_field(rng, with_potential=True)
-        p = hz.rand_momentum(rng)
-        draws.append((fd, p, rng.uniform(0.5, 1.5) if with_shift else None))
+    """Each trial's field, momentum and, ``with_shift``, energy shift, and
+    all the Hamiltonian spectra in one stacked ``eigvalsh``."""
+    fields = hz.rand_field(rng, cfg.trials, with_potential=True)
+    momenta = hz.rand_momentum(rng, cfg.trials)
+    shifts = rng.uniform(0.5, 1.5, cfg.trials) if with_shift else [None] * cfg.trials
+    draws = [(hz._member(fields, k), momenta[k], shifts[k]) for k in range(cfg.trials)]
     spectra = np.linalg.eigvalsh(
         np.stack([dr.dirac_hamiltonian(p, fd) for fd, p, _ in draws])
     )
@@ -722,10 +731,10 @@ def _loop_off_eigenvalue_nonsingular(rng, cfg):
 def _loop_massless_mode(rng, cfg):
     fd = dr.FieldData(0.0)
     factor = sm.ideal_factor(1)
-    for _ in range(cfg.trials):
-        p = hz.rand_momentum(rng)
-        while np.linalg.norm(p) < 0.1:
-            p = hz.rand_momentum(rng)
+    momenta = hz._redraw(
+        rng, cfg.trials, hz.rand_momentum, lambda p: np.linalg.norm(p, axis=-1) >= 0.1
+    )
+    for p in momenta:
         mode = dr.PlaneWaveMode(float(np.linalg.norm(p)), p, np.zeros(4))
         sym, sym_c = dr.momentum_symbol(mode)
         pair = dr.BispinorPair(sym * factor, sym_c * factor)
@@ -741,10 +750,14 @@ def _loop_state_gaps(a: dr.DiracState, b: dr.DiracState):
     yield (a.m - b.m).max_abs()
 
 
+def _loop_states(rng, cfg):
+    draws = _draw_states(rng, cfg.trials)
+    return (_trial_state(*draws, k) for k in range(cfg.trials))
+
+
 def _loop_preserves_row(kind):
     def case(rng, cfg):
-        for _ in range(cfg.trials):
-            state = _loop_state(rng)
+        for state in _loop_states(rng, cfg):
             yield dr.apply_discrete(state, kind).residual().max_abs()
 
     case.__name__ = "_loop_%s_preserves" % kind
@@ -752,24 +765,21 @@ def _loop_preserves_row(kind):
 
 
 def _loop_involutions(rng, cfg):
-    for _ in range(cfg.trials):
-        state = _loop_state(rng)
+    for state in _loop_states(rng, cfg):
         for kind in ("parity", "time_reversal", "charge_conjugation"):
             twice = dr.apply_discrete(dr.apply_discrete(state, kind), kind)
             yield from _loop_state_gaps(twice, state)
 
 
 def _loop_charge_conjugation_flips_potential(rng, cfg):
-    for _ in range(cfg.trials):
-        state = _loop_state(rng)
+    for state in _loop_states(rng, cfg):
         image = dr.apply_discrete(state, "charge_conjugation")
         yield image.residual().max_abs()
         yield (image.a - (-state.a)).max_abs()
 
 
 def _loop_current_pipelines(rng, cfg):
-    for _ in range(cfg.trials):
-        psi = _loop_complex_vec(rng, 4)
+    for psi in hz.rand_complex_vec(rng, cfg.trials, 4):
         pair = dr.spinor_to_pair(psi)
         from_pair = cur.pair_current(pair)
         # the column bilinears in Euclidean components
@@ -778,9 +788,8 @@ def _loop_current_pipelines(rng, cfg):
 
 
 def _loop_current_scaling(rng, cfg):
-    for _ in range(cfg.trials):
-        psi = _loop_complex_vec(rng, 4)
-        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    spinors = hz.rand_complex_vec(rng, cfg.trials, 4)
+    for psi, c in zip(spinors, hz.rand_complex_vec(rng, cfg.trials)):
         j1 = cur.pair_current(dr.spinor_to_pair(psi))
         j2 = cur.pair_current(dr.spinor_to_pair(c * psi))
         yield hz._max_abs(j2 - abs(c) ** 2 * j1)
@@ -788,36 +797,52 @@ def _loop_current_scaling(rng, cfg):
 
 
 def _loop_current_density_positive(rng, cfg):
-    for _ in range(cfg.trials):
-        psi = _loop_complex_vec(rng, 4)
-        if not cur.spinor_current(psi)[0] >= 0:  # NaN fails too
-            yield 1.0
+    for psi in hz.rand_complex_vec(rng, cfg.trials, 4):
         # Euclidean temporal component is purely imaginary, spatial real
         je = cur.pair_current(dr.spinor_to_pair(psi))
         yield abs(je[0].real)
         yield hz._max_abs(je[1:].imag)
+        yield 0.0 if cur.spinor_current(psi)[0] >= 0 else 1.0  # NaN fails too
+
+
+def _loop_current_covariance(rng, cfg):
+    spinors = hz.rand_complex_vec(rng, cfg.trials, 4)
+    rotors = hz.rand_rotor(rng, cfg.trials)
+    for k, psi in enumerate(spinors):
+        rotor = hz._member(rotors, k)
+        # the current quaternion transforms as a Euclidean four-vector by
+        # similarity of its reflector
+        j = Quat(*cur.pair_current(dr.spinor_to_pair(psi)))
+        r, rc = tr.rotor_blocks(rotor)
+        j_after = (r * bl.Reflector(j, j.quat_conj()) * rc).upper
+        oracle = hz._matrix_oracle(rotor) @ hz.quat_to_minkowski(j)
+        yield hz._max_abs(hz.quat_to_minkowski(j_after) - oracle)
+        yield (j_after - tr.four_vector_transform(j, rotor)).max_abs()
+
+
+def _loop_mode_divergence(rng, trials: int, count: int):
+    fd = hz.rand_field(rng, trials)
+    draws = _draw_modes(rng, trials, count)
+    for k in range(trials):
+        solutions = [_trial_solution(fd, p, pick, k) for p, pick in draws]
+        yield cur.current_divergence(solutions, hz._member(fd, k))
 
 
 def _loop_single_mode_divergence(rng, cfg):
-    for _ in range(max(1, cfg.trials // 10)):
-        fd = hz.rand_field(rng)
-        yield cur.current_divergence([hz.rand_solution(rng, fd)], fd)
+    return _loop_mode_divergence(rng, max(1, cfg.trials // 10), 1)
 
 
 def _loop_two_mode_divergence(rng, cfg):
-    for _ in range(cfg.trials):
-        fd = hz.rand_field(rng)
-        solutions = [hz.rand_solution(rng, fd) for _ in range(2)]
-        yield cur.current_divergence(solutions, fd)
+    return _loop_mode_divergence(rng, cfg.trials, 2)
 
 
 def _loop_transformed_draws(rng, cfg):
     """The field, spec and solutions of each trial of the loop below."""
-    for n in hz._n_draws(cfg):
-        fd = hz.rand_field(rng)
-        spec = tr.TransformSpec(hz.rand_rotor(rng), n)
-        solutions = [hz.rand_solution(rng, fd) for _ in range(2)]
-        yield fd, spec, solutions
+    fd, rotors = hz.rand_field(rng, cfg.trials), hz.rand_rotor(rng, cfg.trials)
+    draws = _draw_modes(rng, cfg.trials, 2)
+    for k, n in enumerate(hz._n_draws(cfg)):
+        solutions = [_trial_solution(fd, p, pick, k) for p, pick in draws]
+        yield hz._member(fd, k), tr.TransformSpec(hz._member(rotors, k), n), solutions
 
 
 def _loop_transformed_divergence(rng, cfg):
@@ -825,41 +850,34 @@ def _loop_transformed_divergence(rng, cfg):
         yield cur.current_divergence(solutions, fd, spec=spec)
 
 
-def _loop_radiation_field(rng, count=3) -> tuple[cur.RadiationMode, ...]:
-    modes = []
-    for _ in range(count):
-        while True:
-            omega = rng.uniform(-2.0, 2.0)
-            k = hz.rand_momentum(rng)
-            s = omega**2 - float(k @ k)
-            if abs(s) > 0.05:
-                break
-        modes.append(cur.RadiationMode(hz.rand_euclidean_quat(rng), omega, k))
-    return tuple(modes)
+def _loop_radiation_fields(source, trials: int):
+    """Each trial's three radiation modes of the stacked ``source``."""
+    return (tuple(hz._member(mode, k) for mode in source) for k in range(trials))
 
 
 def _loop_radiation_solve(rng, cfg):
-    for _ in range(cfg.trials):
-        source = _loop_radiation_field(rng)
-        yield cur.radiation_residual(source, cur.solve_potential(source))
+    source = hz._rand_radiation_field(rng, cfg.trials)
+    for modes in _loop_radiation_fields(source, cfg.trials):
+        yield cur.radiation_residual(modes, cur.solve_potential(modes))
 
 
 def _loop_radiation_transformed(rng, cfg):
-    for _ in range(cfg.trials):
-        source = _loop_radiation_field(rng)
-        potential = cur.solve_potential(source)
-        yield cur.radiation_residual(source, potential, hz.rand_rotor(rng))
+    source = hz._rand_radiation_field(rng, cfg.trials)
+    rotors = hz.rand_rotor(rng, cfg.trials)
+    for k, modes in enumerate(_loop_radiation_fields(source, cfg.trials)):
+        potential = cur.solve_potential(modes)
+        yield cur.radiation_residual(modes, potential, hz._member(rotors, k))
 
 
 def _loop_associativity(rng, cfg):
-    for _ in range(cfg.trials):
-        a, b, c = (_loop_complex_quat(rng) for _ in range(3))
+    for row in hz.rand_complex_vec(rng, cfg.trials, 3, 4):
+        a, b, c = (Quat(*z) for z in row)
         yield ((a * b) * c - a * (b * c)).max_abs()
 
 
 def _loop_conjugation_anti_homomorphism(rng, cfg):
-    for _ in range(cfg.trials):
-        a, b = _loop_complex_quat(rng), _loop_complex_quat(rng)
+    for row in hz.rand_complex_vec(rng, cfg.trials, 2, 4):
+        a, b = (Quat(*z) for z in row)
         ab = a * b
         yield (ab.quat_conj() - b.quat_conj() * a.quat_conj()).max_abs()
         yield (ab.herm_conj() - b.herm_conj() * a.herm_conj()).max_abs()
@@ -869,8 +887,8 @@ def _loop_conjugation_anti_homomorphism(rng, cfg):
 
 
 def _loop_dot_two_routes(rng, cfg):
-    for _ in range(cfg.trials):
-        a, b = _loop_complex_quat(rng), _loop_complex_quat(rng)
+    for row in hz.rand_complex_vec(rng, cfg.trials, 2, 4):
+        a, b = (Quat(*z) for z in row)
         sandwich = (a.quat_conj() * b + b.quat_conj() * a) * 0.5
         yield abs(qt.dot(a, b) - sandwich.temporal)
         yield sandwich.spatial.max_abs()
@@ -878,32 +896,32 @@ def _loop_dot_two_routes(rng, cfg):
 
 
 def _loop_matrix_homomorphism(rng, cfg):
-    for _ in range(cfg.trials):
-        a, b = _loop_complex_quat(rng), _loop_complex_quat(rng)
+    for row in hz.rand_complex_vec(rng, cfg.trials, 2, 4):
+        a, b = (Quat(*z) for z in row)
         yield hz._max_abs(qt.to_matrix(a * b) - qt.to_matrix(a) @ qt.to_matrix(b))
 
 
 def _loop_matrix_roundtrip(rng, cfg):
-    for _ in range(cfg.trials):
-        q = _loop_complex_quat(rng)
+    for z in hz.rand_complex_vec(rng, cfg.trials, 4):
+        q = Quat(*z)
         yield (qt.from_matrix(qt.to_matrix(q)) - q).max_abs()
 
 
 def _loop_matrix_trace(rng, cfg):
-    for _ in range(cfg.trials):
-        q = _loop_complex_quat(rng)
+    for z in hz.rand_complex_vec(rng, cfg.trials, 4):
+        q = Quat(*z)
         yield abs(np.trace(qt.to_matrix(q)) - 2.0 * q.temporal)
 
 
 def _loop_real_conjugations_coincide(rng, cfg):
-    for _ in range(cfg.trials):
-        q = _loop_real_quat(rng)
+    for u in rng.uniform(-1.0, 1.0, (cfg.trials, 4)):
+        q = Quat(*u)
         yield (q.quat_conj() - q.herm_conj()).max_abs()
 
 
 def _loop_modulus_inverse(rng, cfg):
-    for _ in range(cfg.trials):
-        q = _loop_invertible_quat(rng)
+    for z in hz._rand_invertible(rng, cfg.trials):
+        q = Quat(*z)
         inv = q.inverse()
         yield (inv * q - qt.ONE).max_abs()
         yield (q * inv - qt.ONE).max_abs()
@@ -911,38 +929,36 @@ def _loop_modulus_inverse(rng, cfg):
 
 def _loop_lift_identity_row(roundtrip):
     def case(rng, cfg):
-        for _ in range(cfg.trials):
-            v = _loop_complex_vec(rng, 2)
+        for v in hz.rand_complex_vec(rng, cfg.trials, 2):
             yield hz._max_abs(roundtrip(v) - v)
 
     return case
 
 
 def _loop_lift_real_components(rng, cfg):
-    for _ in range(cfg.trials):
-        v = _loop_complex_vec(rng, 2)
+    for v in hz.rand_complex_vec(rng, cfg.trials, 2):
         for lifted in (sm.lift_G(v), sm.lift_L(v)):
             yield hz._max_abs(np.imag(lifted.components))
 
 
 def _loop_scalar_shift(rng, cfg):
-    for _ in range(cfg.trials):
-        q = _loop_complex_quat(rng)
+    for z in hz.rand_complex_vec(rng, cfg.trials, 4):
+        q = Quat(*z)
         yield hz._max_abs(sm.map_F(q * (-qt.I3)) - 1j * sm.map_F(q))
         yield hz._max_abs(sm.map_N(q * qt.I3) - 1j * sm.map_N(q))
 
 
 def _loop_ideal_double(rng, cfg):
-    for _ in range(cfg.trials):
-        q = _loop_complex_quat(rng)
+    for z in hz.rand_complex_vec(rng, cfg.trials, 4):
+        q = Quat(*z)
         yield hz._max_abs(sm.map_F(q * sm.ideal_factor(1)) - 2.0 * sm.map_F(q))
         yield hz._max_abs(sm.map_N(q * sm.ideal_factor(-1)) - 2.0 * sm.map_N(q))
 
 
 def _loop_lift_commutation(rng, cfg):
-    for _ in range(cfg.trials):
-        q = _loop_real_quat(rng)
-        basis = qt.BASIS[int(rng.integers(4))]
+    u, picks = rng.uniform(-1.0, 1.0, (cfg.trials, 4)), rng.integers(4, size=cfg.trials)
+    for row, pick in zip(u, picks):
+        q, basis = Quat(*row), qt.BASIS[pick]
         col = qt.to_matrix(basis) @ sm.map_F(q)
         yield (sm.lift_G(col) - basis * q).max_abs()
         yield (sm.lift_G(1j * col) - basis * q * (-qt.I3)).max_abs()
@@ -950,15 +966,15 @@ def _loop_lift_commutation(rng, cfg):
 
 def _loop_gf_ideal(rng, cfg):
     factor = sm.ideal_factor(1)
-    for _ in range(cfg.trials):
-        q = _loop_complex_quat(rng)
+    for z in hz.rand_complex_vec(rng, cfg.trials, 4):
+        q = Quat(*z)
         yield (sm.lift_G(sm.map_F(q)) * factor - q * factor).max_abs()
 
 
 def _loop_contraction_row(matrices, right):
     def case(rng, cfg):
-        for _ in range(cfg.trials):
-            q, u = _loop_real_quat(rng), _loop_real_quat(rng)
+        for row in rng.uniform(-1.0, 1.0, (cfg.trials, 2, 4)):
+            q, u = (Quat(*z) for z in row)
             fq, fu = sm.map_F(q), sm.map_F(u)
             for matrix, basis in zip(matrices, qt.BASIS[1:]):
                 lhs = np.vdot(fq, matrix @ fu).real
@@ -968,35 +984,46 @@ def _loop_contraction_row(matrices, right):
 
 
 def _loop_bijection_roundtrip(rng, cfg):
-    for _ in range(cfg.trials):
-        v = _loop_complex_vec(rng, 4)
+    for v in hz.rand_complex_vec(rng, cfg.trials, 4):
         yield hz._max_abs(sm.quat_to_vec(sm.vec_to_quat(v)) - v)
 
 
+_CLASSES = (bl.Reflector, bl.Rotator)
+
+
+def _block(cls, z):
+    """The block of class ``cls`` with the entries z (2, 4)."""
+    return cls(Quat(*z[0]), Quat(*z[1]))
+
+
 def _loop_product_vs_embedding(rng, cfg):
-    for _ in range(cfg.trials):
-        x, y = _loop_block(rng), _loop_block(rng)
+    classes = rng.integers(2, size=(2, cfg.trials))
+    entries = hz.rand_complex_vec(rng, 2, cfg.trials, 2, 4)
+    for kx, ky, zx, zy in zip(*classes, *entries):
+        x, y = _block(_CLASSES[kx], zx), _block(_CLASSES[ky], zy)
         yield hz._max_abs(hz.embed4(x * y) - hz.embed4(x) @ hz.embed4(y))
 
 
 def _loop_rotator_conj_anti_homomorphism(rng, cfg):
-    for _ in range(cfg.trials):
-        x, y = _loop_block(rng, bl.Rotator), _loop_block(rng, bl.Rotator)
+    for z in hz.rand_complex_vec(rng, cfg.trials, 4, 4):
+        x, y = _block(bl.Rotator, z[:2]), _block(bl.Rotator, z[2:])
         lhs = hz.embed4((x * y).quat_conj())
         yield hz._max_abs(lhs - hz.embed4(y.quat_conj() * x.quat_conj()))
 
 
 def _loop_trace_embedding(rng, cfg):
-    for _ in range(cfg.trials):
-        x = _loop_block(rng, bl.Rotator)
+    for z in hz.rand_complex_vec(rng, cfg.trials, 4, 4):
+        x = _block(bl.Rotator, z[:2])
         yield abs(np.trace(hz.embed4(x)) - 2.0 * x.trace().temporal)
-        yield _loop_block(rng, bl.Reflector).trace().max_abs()
+        yield _block(bl.Reflector, z[2:]).trace().max_abs()
 
 
 def _loop_trace_temporal_similarity(rng, cfg):
-    for _ in range(cfg.trials):
-        x = _loop_block(rng, bl.Rotator)
-        r, rc = tr.rotor_blocks(hz.rand_rotor(rng))
+    entries = hz.rand_complex_vec(rng, cfg.trials, 2, 4)
+    rotors = hz.rand_rotor(rng, cfg.trials)
+    for k, z in enumerate(entries):
+        x = _block(bl.Rotator, z)
+        r, rc = tr.rotor_blocks(hz._member(rotors, k))
         y = r * x * rc
         yield abs(y.trace().temporal - x.trace().temporal)
         # per-block temporal components are individually preserved
@@ -1006,13 +1033,14 @@ def _loop_trace_temporal_similarity(rng, cfg):
 
 def _loop_reflector_draws(rng, cfg):
     """The blocks of each trial of the loop below, and its rotor blocks."""
-    for _ in range(cfg.trials):
-        q = _loop_invertible_quat(rng)
-        p = _loop_invertible_quat(rng)
+    qs, ps = (hz._rand_invertible(rng, cfg.trials) for _ in range(2))
+    rotors = hz.rand_rotor(rng, cfg.trials)
+    for k in range(cfg.trials):
+        q, p = Quat(*qs[k]), Quat(*ps[k])
         qq = bl.Reflector(q, q.quat_conj())
         pp = bl.Reflector(p, p.quat_conj())
         ww = pp.inverse() * qq * pp
-        yield (qq, pp, ww), tr.rotor_blocks(hz.rand_rotor(rng))
+        yield (qq, pp, ww), tr.rotor_blocks(hz._member(rotors, k))
 
 
 def _loop_reflector_equation_invariance(rng, cfg):
@@ -1032,8 +1060,10 @@ def _reflector_scale(blocks, rotor_blocks):
 
 def _loop_block_inverse(rng, cfg):
     ident = hz.embed4(bl.identity_rotator())
-    for _ in range(cfg.trials):
-        x = _loop_block(rng, draw=_loop_invertible_quat)
+    picks = rng.integers(2, size=cfg.trials)
+    entries = hz._rand_invertible(rng, 2 * cfg.trials).reshape(cfg.trials, 2, 4)
+    for pick, z in zip(picks, entries):
+        x = _block(_CLASSES[pick], z)
         yield hz._max_abs(hz.embed4(x.inverse() * x) - ident)
 
 
@@ -1041,9 +1071,8 @@ def _loop_pattern_row(pattern):
     coeff_s, coeff_t = hz._PATTERN_COEFFS[pattern]
 
     def case(rng, cfg):
-        for _ in range(cfg.trials):
-            angle = rng.uniform(0.05, math.pi - 0.05)
-            axis = hz.rand_unit3(rng)
+        angles = rng.uniform(0.05, math.pi - 0.05, cfg.trials)
+        for angle, axis in zip(angles, hz.rand_unit3(rng, cfg.trials)):
             rotor = tr.rotor_spatial(axis, angle)
             spatial = hz.rotation_matrix4(axis, coeff_s * angle)
             want = hz.temporal_rotation_matrix4(axis, coeff_t * angle) @ spatial
@@ -1079,6 +1108,7 @@ _LOOPS = {
     ("current", "current_pipelines"): _loop_current_pipelines,
     ("current", "current_scaling"): _loop_current_scaling,
     ("current", "current_density_positive"): _loop_current_density_positive,
+    ("current", "current_covariance"): _loop_current_covariance,
     ("conservation", "single_mode_divergence"): _loop_single_mode_divergence,
     ("conservation", "two_mode_divergence"): _loop_two_mode_divergence,
     ("conservation", "transformed_divergence"): _loop_transformed_divergence,
@@ -1139,15 +1169,10 @@ _FIXED_INSTANCE_CASES = {
 
 def test_every_stacked_case_has_its_loop():
     cases = {(suite, case.name) for suite in hz.SUITES for case in hz.SUITES[suite]}
-    assert cases - set(_LOOPS) == _FIXED_INSTANCE_CASES | {
-        # still a loop: its oracle, _matrix_oracle, runs per trial
-        ("current", "current_covariance"),
-    }
+    assert cases - set(_LOOPS) == _FIXED_INSTANCE_CASES
 
 
-# the cases that draw trials but return other than one row per trial;
-# current_density_positive would append one 1.0 more were a density to fail,
-# which |psi|^2 never does
+# the cases that draw trials but return other than one row per trial
 _ROW_COUNTS = {
     ("conservation", "single_mode_divergence"): lambda trials: max(1, trials // 10),
     # the trials' two checks, flattened, and one fixed check
@@ -1199,8 +1224,8 @@ def test_stacked_cases_match_their_loops(suite, name):
     # the residuals of an identity are rounding whatever the draws, so the
     # draws are compared as well: each generator method must return the
     # loop's values in the loop's order, however many calls it takes, and
-    # leave the generator in the loop's state.  A draw pass that reads the
-    # field and the momentum in the other order keeps every residual but
+    # leave the generator in the loop's state.  Draws that read the
+    # field and the momentum in the other order keep every residual but
     # n_invariance's within 1e-14
     case = next(c for c in hz.SUITES[suite] if c.name == name)
     for seed in (0, 1, 5):
@@ -1241,13 +1266,13 @@ def _divergence_scale(fd, spec, solutions):
 
 @pytest.mark.parametrize("with_potential", [True, False])
 def test_stacked_states_are_the_loops_states(with_potential):
-    # the states of a stack are those that a loop over the trials draws,
-    # trial by trial, and not only as good solutions
+    # the states of a stack are those that a loop over the trials builds
+    # from the same draws, trial by trial, and not only as good solutions
     count = 50
     rng, loop_rng = hz.case_rng(3, "test", "states"), hz.case_rng(3, "test", "states")
-    draw = functools.partial(hz._draw_state, with_potential=with_potential)
-    stack = hz._states(*hz._trials(rng, count, draw))
-    states = [_loop_state(loop_rng, with_potential) for _ in range(count)]
+    stack = hz._rand_states(rng, count, with_potential)
+    draws = _draw_states(loop_rng, count, with_potential)
+    states = [_trial_state(*draws, k) for k in range(count)]
     for field in ("d", "a", "phi", "m"):
         for part in ("upper", "lower"):
             got = np.stack(getattr(getattr(stack, field), part).components, axis=-1)

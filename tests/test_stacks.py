@@ -9,6 +9,7 @@ import pytest
 
 from qdirac import current as cur
 from qdirac import dirac as dr
+from qdirac import harness as hz
 from qdirac import spinor_maps as sm
 from qdirac.blocks import Reflector, Rotator, block_power
 from qdirac import quaternion as qt
@@ -528,3 +529,86 @@ def test_stacked_current_guards():
     nan_mode = cur.RadiationMode(_of(*comps), first.omega, first.wavevector)
     got = cur.radiation_residual(source, (nan_mode,) + potential[1:])
     assert np.isnan(got[3]) and np.all(np.delete(got, 3) < 1e-12)
+
+
+def test_stacked_rotors_are_bitwise():
+    rng = np.random.default_rng(12)
+    axes = np.array([_unit3(rng) for _ in range(COUNT)])
+    angles = rng.uniform(-math.pi, math.pi, COUNT)
+    for rotor in (rotor_spatial, rotor_boost):
+        want = [_components(rotor(a, t)) for a, t in zip(axes, angles)]
+        _bitwise(_components(rotor(axes, angles)), want)
+        # one axis against a stack of angles, and a stack of axes at one angle
+        want = [_components(rotor(axes[0], t)) for t in angles]
+        _bitwise(_components(rotor(axes[0], angles)), want)
+        want = [_components(rotor(a, angles[0])) for a in axes]
+        _bitwise(_components(rotor(axes, angles[0])), want)
+        # a single axis and a float give a scalar Quat
+        single = rotor([0.0, 0.6, 0.8], 0.7)
+        assert all(type(z) is complex for z in single.components)
+        assert (single - rotor(np.array([[0.0, 0.6, 0.8]]), [0.7])).max_abs() == 0.0
+
+
+def test_unit_axis_names_the_first_bad_member():
+    axes = np.tile([0.0, 0.0, 1.0], (COUNT, 1))
+    axes[3] *= 1.5
+    axes[8] = math.nan
+    for rotor in (rotor_spatial, rotor_boost):
+        with pytest.raises(ValueError, match=r"unit length at member \(3,\)$"):
+            rotor(axes, 0.1)
+        with pytest.raises(ValueError, match=r"unit length at member \(1, 0\)$"):
+            rotor(axes[:9].reshape(3, 3, 3), 0.1)
+        with pytest.raises(ValueError, match="unit length$"):
+            rotor([math.nan, 0.0, 0.0], 0.1)
+        with pytest.raises(ValueError, match="3-vector"):
+            rotor(np.zeros((COUNT, 2)), 0.1)
+
+
+def test_matrix_oracle_takes_mixed_stacks_member_by_member():
+    _, _, _, _, rotors = _draws(13)
+    # the identity has a zero axis; it reads as a rotation
+    rotors[1] = ONE
+    got = hz._matrix_oracle(_quats(rotors))
+    assert got.shape == (COUNT, 4, 4)
+    _bitwise(got, [hz._matrix_oracle(r) for r in rotors])
+    # a rotation times a boost is neither: the first such member is named
+    # (the even members are rotations, the odd ones boosts)
+    rotors[9], rotors[11] = rotors[2] * rotors[3], rotors[3] * rotors[4]
+    with pytest.raises(ValueError, match=r"nor a boost at member \(9,\)"):
+        hz._matrix_oracle(_quats(rotors))
+    with pytest.raises(ValueError, match="neither a rotation nor a boost: Quat"):
+        hz._matrix_oracle(rotors[9])
+
+
+def test_redraw_replaces_only_the_rejected_rows():
+    def draw(rng, count):
+        calls.append(count)
+        return rng.uniform(0.0, 1.0, (count, 2))
+
+    def accept(rows):
+        return rows[:, 0] > 0.7
+
+    runs = []
+    for _ in range(2):
+        calls = []
+        rows = hz._redraw(np.random.default_rng(14), COUNT, draw, accept)
+        runs.append((rows, calls))
+        assert rows.shape == (COUNT, 2) and accept(rows).all()
+    # deterministic per seed
+    _bitwise(runs[0][0], list(runs[1][0]))
+    assert runs[0][1] == runs[1][1]
+    # every pass draws once, for the rows still rejected, and each row keeps
+    # the first value that passed
+    rng = np.random.default_rng(14)
+    first = rng.uniform(0.0, 1.0, (COUNT, 2))
+    assert calls[0] == COUNT and calls[1] == np.sum(~accept(first))
+    assert all(later <= earlier for earlier, later in zip(calls, calls[1:]))
+    kept = accept(first)
+    _bitwise(rows[kept], list(first[kept]))
+    todo, want = np.flatnonzero(~kept), first.copy()
+    for count in calls[1:]:
+        fresh = rng.uniform(0.0, 1.0, (count, 2))
+        want[todo] = fresh
+        todo = todo[~accept(fresh)]
+    assert todo.size == 0
+    _bitwise(rows, list(want))
