@@ -195,28 +195,6 @@ def sample_quat_mode(
     return Grid4(spacing, np.moveaxis(comps[:, None, None, None, None] * wave, 0, -1))
 
 
-def _central_diff(
-    values: np.ndarray, axis: int, scale: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The step-two difference along ``axis`` times ``scale``, on the interior
-    of every axis of ``values``: with ``scale = 1 / (2h)`` the central
-    difference.
-
-    NumPy divides a + bi by a float c as (a + b*0)*s + (b - a*0)*s i with
-    s = 1/c, and multiplies it by s as (a*s - b*0) + (a*0 + b*s) i.  For
-    finite a and b both are a*s + b*s i, so ``*= 1/(2h)`` gives the doubles
-    of ``/= 2h`` up to the sign of a zero, at about a fifth of the cost of
-    the complex division.
-    """
-    hi = [slice(1, -1)] * values.ndim
-    lo = list(hi)
-    hi[axis] = slice(2, None)
-    lo[axis] = slice(None, -2)
-    out = np.subtract(values[tuple(hi)], values[tuple(lo)], out=out)
-    out *= scale
-    return out
-
-
 # left multiplication by e_r: (source component, sign) of each output component
 _BASIS_LEFT_MUL = {
     1: ((1, -1), (0, 1), (3, -1), (2, 1)),
@@ -225,37 +203,72 @@ _BASIS_LEFT_MUL = {
 }
 
 
+def _fd_stencil(comps: np.ndarray, spacing: float):
+    """The plane stencil of the difference operator on the component-major
+    grid ``comps``, (4, n0, n1, n2, n3), copied once if it is not
+    C-contiguous: ``plane(t, k, conjugate)`` is output component ``k`` on
+    interior time plane ``t``, a (n1-2, n2-2, n3-2) view into a plane buffer
+    that the next call overwrites.
+
+    On the flat (4, n0*n1*n2*n3) view each difference is one contiguous
+    subtraction over a whole plane,
+    ``f[c + s : c + s + s0] - f[c - s : c - s + s0]`` with ``c`` the start of
+    the input plane, ``s0`` its size and ``s`` the stride of the axis, into
+    one of two plane buffers.  Its boundary rows read the rows next to them
+    and are never returned.  Each difference is scaled by the reciprocal
+    1/(2h): NumPy divides a + bi by a float c as (a + b*0)*s + (b - a*0)*s i
+    with s = 1/c, and multiplies it by s as (a*s - b*0) + (a*0 + b*s) i.  For
+    finite a and b both are a*s + b*s i, so ``*= 1/(2h)`` gives the doubles
+    of ``/= 2h`` up to the sign of a zero, at about a fifth of the cost of
+    the complex division.
+    """
+    n1, n2, n3 = comps.shape[2:]
+    flat = np.ascontiguousarray(comps).reshape(4, -1)
+    s0 = n1 * n2 * n3
+    buf, diff = np.empty((2, s0), dtype=flat.dtype)
+    scale = 1.0 / (2.0 * spacing)
+
+    def plane(t: int, k: int, conjugate: bool) -> np.ndarray:
+        c = (t + 1) * s0
+        np.subtract(flat[k, c + s0 : c + 2 * s0], flat[k, c - s0 : c], out=buf)
+        np.multiply(buf, scale, out=buf)
+        np.multiply(1j, buf, out=buf)
+        for r, s in ((1, n2 * n3), (2, n3), (3, 1)):
+            j, sign = _BASIS_LEFT_MUL[r][k]
+            np.subtract(flat[j, c + s : c + s + s0], flat[j, c - s : c - s + s0], out=diff)
+            np.multiply(diff, scale, out=diff)
+            combine = np.add if (sign > 0) != conjugate else np.subtract
+            combine(buf, diff, out=buf)
+        return buf.reshape(n1, n2, n3)[1:-1, 1:-1, 1:-1]
+
+    return plane
+
+
 def fd_apply_D(grid: Grid4, conjugate: bool = False) -> Grid4:
     """Central-difference application of the derivative quaternion.
 
     The temporal component enters as i * d/dx0; spatial derivatives are
     left-multiplied by their basis quaternion, and subtracted instead of
     added for the conjugated derivative (``conjugate=True``).  The input
-    values, of shape (n0, n1, n2, n3, 4), may have any layout; the returned
-    grid shrinks by one point on each side and is stored component-major.
-    The output is built one time plane at a time from the three input planes
-    around it, each spatial difference going into one reused plane buffer,
-    so a call allocates the output plus one time plane and no more.  Each
-    element sees the same subtraction, scaling by the reciprocal 1/(2h) (see
-    ``_central_diff``), factor i and additions in the same order whatever
-    the blocking, so the output equals a whole-grid evaluation's bitwise.
+    values, of shape (n0, n1, n2, n3, 4), may have any layout; one that is
+    not component-major is copied once.  The returned grid shrinks by one
+    point on each side and is stored component-major.  The output is built
+    one time plane and one component at a time (``_fd_stencil``): every
+    difference is one contiguous subtraction over a whole flat input plane
+    into one of two reused plane buffers, whose boundary rows are discarded,
+    so a call allocates the output plus two time-plane buffers.  Each
+    element sees the same subtraction, scaling by the reciprocal 1/(2h),
+    factor i and additions in the same order whatever the blocking, so the
+    output equals a whole-grid evaluation's bitwise.
     """
     values = grid.values
     if min(values.shape[:4]) < 5:
         raise GridTooSmall("need at least 5 points per axis")
-    comps = np.moveaxis(values, -1, 0)
+    plane = _fd_stencil(np.moveaxis(values, -1, 0), grid.spacing)
     out = np.empty((4,) + tuple(n - 2 for n in values.shape[:4]), dtype=values.dtype)
-    diff = np.empty((1,) + out.shape[2:], dtype=values.dtype)
-    scale = 1.0 / (2.0 * grid.spacing)
     for t in range(out.shape[1]):
-        planes = comps[:, t : t + 3]
         for k in range(4):
-            out_k = out[k, t : t + 1]
-            np.multiply(1j, _central_diff(planes[k], 0, scale, out=out_k), out=out_k)
-            for r in (1, 2, 3):
-                j, sign = _BASIS_LEFT_MUL[r][k]
-                combine = np.add if (sign > 0) != conjugate else np.subtract
-                combine(out_k, _central_diff(planes[j], r, scale, out=diff), out=out_k)
+            out[k, t] = plane(t, k, conjugate)
     return Grid4(grid.spacing, np.moveaxis(out, 0, -1))
 
 
@@ -1136,15 +1149,13 @@ def _current_grid(solutions, shape, spacing) -> np.ndarray:
     return fields
 
 
-# the temporal component of fd_apply_D(J, conjugate=True) alone, bitwise:
-# fd_apply_D forms all four components, which makes the case about 1.5 times
-# as slow
+# the largest |temporal component| of fd_apply_D(J, conjugate=True), bitwise,
+# with J the (4, n0, n1, n2, n3) current grids: the plane stencil forms
+# component 0 alone, where fd_apply_D forms all four
 def _fd_divergence_max(fields, spacing):
-    scale = 1.0 / (2.0 * spacing)
-    div = 1j * _central_diff(fields[0], 0, scale)
-    for r in (1, 2, 3):
-        div = div + _central_diff(fields[r], r, scale)
-    return float(np.max(np.abs(div)))
+    plane = _fd_stencil(fields, spacing)
+    plane_max = [np.max(np.abs(plane(t, 0, True))) for t in range(fields.shape[1] - 2)]
+    return float(np.max(plane_max))
 
 
 def _convergence_gap(error, side: int, h: float) -> float:

@@ -100,7 +100,14 @@ def test_fd_apply_D_is_bitwise_the_point_major_reference(conjugate):
     # a time axis longer than the others pins the first and last planes
     long_time = (9, 5, 6, 5, 4)
     t_major = Grid4(0.1, rng.normal(size=long_time) + 1j * rng.normal(size=long_time))
-    for grid in (c_order, sampled, t_major):
+    # a short last axis and a long middle one pin the rows whose differences
+    # read across a row end, which are discarded
+    long_middle = (6, 9, 7, 5, 4)
+    rows = Grid4(0.1, rng.normal(size=long_middle) + 1j * rng.normal(size=long_middle))
+    # a strided view of a larger grid is copied once into the flat layout
+    strided = Grid4(_SPACING, sampled.values[::2, 1:, ::-1, 1:-1])
+    assert not np.moveaxis(strided.values, -1, 0).flags.c_contiguous
+    for grid in (c_order, sampled, t_major, rows, strided):
         expected = _fd_apply_D_point_major(grid, conjugate)
         assert fd_apply_D(grid, conjugate).values.tobytes() == expected.tobytes()
     # the chain of the d'Alembertian case takes a component-major derivative grid
@@ -120,7 +127,7 @@ def test_grids_are_component_major_accurate_and_small():
     direct = np.exp(1j * phase)[..., None] * np.array(_AMPLITUDE.components)
     amp = max(abs(c) for c in _AMPLITUDE.components)
     assert np.max(np.abs(grid.values - direct)) <= 1e-14 * amp
-    # the output plus one time-plane buffer, and no other grid-size array
+    # the output plus two time-plane buffers, and no other grid-size array
     grid = hz.sample_quat_mode(_AMPLITUDE, _ENERGY, _MOMENTUM, (25,) * 4, _SPACING)
     tracemalloc.start()
     try:
@@ -172,6 +179,18 @@ def test_current_grid_is_bitwise_the_per_component_loop():
         want = _current_component_grids(solutions, shape, _SPACING)
         assert got.shape == (4, *shape)
         assert got.tobytes() == np.stack(want).tobytes(), count
+
+
+def test_fd_divergence_max_is_the_temporal_component_of_fd_apply_D():
+    rng = np.random.default_rng(23)
+    fd = hz.rand_field(rng, 1)
+    solutions = [hz._solution(hz._member(hz._rand_mode(rng, fd), 0)) for _ in range(2)]
+    fields = [hz._current_grid(solutions, (side,) * 4, _SPACING) for side in (9, 17)]
+    fields.append(rng.normal(size=(4, 6, 9, 7, 5)) + 1j * rng.normal(size=(4, 6, 9, 7, 5)))
+    for field in fields:
+        grid = Grid4(_SPACING, np.moveaxis(field, 0, -1))
+        want = np.max(np.abs(fd_apply_D(grid, conjugate=True).values[..., 0]))
+        assert hz._fd_divergence_max(field, _SPACING) == want
 
 
 def test_unknown_suite():
