@@ -108,6 +108,8 @@ def test_criterion_06_invariance_general_n():
     _report(6, "invariance for n in set", worst, 1e-8)
     mass = _run_cases("invariance", ["mass_four_vector"], trials=200)
     _report(6, "mass boost for n=1", mass, 1e-10)
+    moved = _run_cases("invariance", ["unit_boost_moves_mass"], trials=1)
+    _report(6, "unit boost moves the mass", moved, 0.5)
 
 
 def test_criterion_07_discrete_symmetries():
