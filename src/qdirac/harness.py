@@ -34,13 +34,16 @@ spacetime grid for the derivative symbol and for current conservation.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import functools
 import json
 import math
 import numbers
 import operator
+import os
 import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -166,12 +169,78 @@ def grid_axes(shape, spacing: float) -> list[np.ndarray]:
     return [(np.arange(n) - (n - 1) / 2.0) * spacing for n in shape]
 
 
+def _axis_waves(energy, momentum, shape, spacing) -> list[np.ndarray]:
+    """exp(i k x) along each axis, k = -E on the time axis and p elsewhere."""
+    axes = grid_axes(shape, spacing)
+    return [np.exp(1j * (k * x)) for k, x in zip((-energy, *momentum), axes)]
+
+
 def _plane_wave(energy, momentum, shape, spacing) -> np.ndarray:
     """exp(i(p.x - E*x0)) on a centered grid, as the outer product of one
-    exponential per axis: 4n ``exp`` calls and no n**4 phase array."""
-    axes = grid_axes(shape, spacing)
-    waves = [np.exp(1j * (k * x)) for k, x in zip((-energy, *momentum), axes)]
-    return functools.reduce(np.multiply.outer, waves)
+    exponential per axis: 4n ``exp`` calls and no n**4 phase array.
+    ``sample_quat_mode`` forms the same product by blocks of axis-1 rows."""
+    return functools.reduce(
+        np.multiply.outer, _axis_waves(energy, momentum, shape, spacing)
+    )
+
+
+_WORKER_FLOOR = 8_000  # points of a time plane per worker, see _split_rows
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on, or all of them where the platform
+    has no affinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split_rows(work, rows: int, row_points: int) -> None:
+    """``work(a, b)`` over the rows [0, rows) of a grid plane of ``row_points``
+    points per row, in contiguous blocks, one per worker.
+
+    There are as many workers as CPUs in this process's affinity, but no more
+    than leave each at least ``_WORKER_FLOOR`` points of a plane; one worker
+    is a plain call.  The caller runs the first block and one thread per
+    other block runs in a copy of the caller's context, so ``np.errstate``
+    holds in it; the threads start on each call, are joined before it
+    returns, and the first exception a thread raised is raised again here.
+    ``work`` must write disjoint outputs for disjoint blocks.
+
+    The floor: a worker makes the kernel's ufunc calls on its own rows and
+    hands the GIL over on each, which pays only when every call is long.
+    One ``sample_quat_mode`` + ``fd_apply_D`` op, median ms, one thread ->
+    two (2-core x86-64, NumPy 2.4), with each worker's share of an
+    ``fd_apply_D`` plane in brackets: 9^4 [283] 1.2 -> 2.7, 13^4 [929]
+    3.3 -> 9.9, 17^4 [2,167] 7.0 -> 17.3, 21^4 [4,189] 13.0 -> 21.9, 25^4
+    [7,187] 25.9-29.7 -> 29.9-33.4, 27^4 [9,112] 38.2-54.3 -> 34.5-46.5,
+    29^4 [11,353] 78.2 -> 57.5, 33^4 [16,879] 127.6 -> 78.8.
+    """
+    workers = min(_cpu_count(), rows, rows * row_points // _WORKER_FLOOR)
+    if workers < 2:
+        work(0, rows)
+        return
+    bounds = [rows * i // workers for i in range(workers + 1)]
+    errors = []
+
+    def run(context, a, b):
+        try:
+            context.run(work, a, b)
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    threads = []
+    try:
+        for a, b in zip(bounds[1:-1], bounds[2:]):
+            thread = threading.Thread(target=run, args=(contextvars.copy_context(), a, b))
+            thread.start()
+            threads.append(thread)
+        work(bounds[0], bounds[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def sample_quat_mode(
@@ -183,14 +252,33 @@ def sample_quat_mode(
     grid functions accept any layout.  A non-finite ``energy`` or
     ``momentum``, or a ``momentum`` that is not a 3-vector, raises
     ``ValueError`` naming the field.
+
+    The plane wave is the outer product of one exponential per axis, and
+    each component is the amplitude's component times it.  ``_split_rows``
+    splits the axis-1 rows between worker threads, one per CPU, when each
+    gets at least ``_WORKER_FLOOR`` points of a time plane (from 27^4 on two
+    CPUs; smaller grids and a 1-CPU affinity run as one block in the
+    caller).  Each worker forms the outer product on its rows,
+    ``reduce(multiply.outer, (w0, w1[a:b], w2, w3))``, and multiplies it
+    into its rows of the output, so a call allocates the output plus one
+    wave-sized array over all workers.  Every element is the same products
+    in the same order however the rows are split, so the values are bitwise
+    those of a single whole-grid product.
     """
     momentum = np.asarray(momentum, dtype=float)
     if momentum.shape != (3,):
         raise ValueError("momentum must be a 3-vector, got %r" % (momentum,))
     dr._check_finite(energy=energy, momentum=momentum)
-    wave = _plane_wave(energy, momentum, shape, spacing)
-    comps = np.array(amplitude.components)
-    return Grid4(spacing, np.moveaxis(comps[:, None, None, None, None] * wave, 0, -1))
+    w0, w1, w2, w3 = _axis_waves(energy, momentum, shape, spacing)
+    comps = np.array(amplitude.components)[:, None, None, None, None]
+    out = np.empty((4, *shape), dtype=complex)
+
+    def rows(a, b):
+        wave = functools.reduce(np.multiply.outer, (w0, w1[a:b], w2, w3))
+        np.multiply(comps, wave, out=out[:, :, a:b])
+
+    _split_rows(rows, shape[1], shape[2] * shape[3])
+    return Grid4(spacing, np.moveaxis(out, 0, -1))
 
 
 # left multiplication by e_r: (source component, sign) of each output component
@@ -202,44 +290,48 @@ _BASIS_LEFT_MUL = {
 
 
 def _fd_stencil(comps: np.ndarray, spacing: float):
-    """The plane stencil of the difference operator on the component-major
-    grid ``comps``, (4, n0, n1, n2, n3), copied once if it is not
-    C-contiguous: ``plane(t, k, conjugate)`` is output component ``k`` on
-    interior time plane ``t``, a (n1-2, n2-2, n3-2) view into a plane buffer
-    that the next call overwrites.
+    """The difference operator on the component-major grid ``comps``,
+    (4, n0, n1, n2, n3), copied once if it is not C-contiguous, over any
+    contiguous range of its flat positions: ``block(k, conjugate, lo, buf,
+    diff)`` writes output component ``k`` at the flat positions
+    [lo, lo + buf.size) into ``buf`` and returns it, with ``diff`` a scratch
+    buffer of the same size.  The range must lie in the interior time
+    planes; its positions on a boundary row or column of a plane read the
+    points next to them and are to be discarded.  ``fd_apply_D`` takes one
+    block of axis-1 rows of one time plane per call, ``_fd_divergence_max``
+    a run of whole time planes.
 
     On the flat (4, n0*n1*n2*n3) view each difference is one contiguous
-    subtraction over a whole plane,
-    ``f[c + s : c + s + s0] - f[c - s : c - s + s0]`` with ``c`` the start of
-    the input plane, ``s0`` its size and ``s`` the stride of the axis, into
-    one of two plane buffers.  Its boundary rows read the rows next to them
-    and are never returned.  Each difference is scaled by the reciprocal
-    1/(2h): NumPy divides a + bi by a float c as (a + b*0)*s + (b - a*0)*s i
-    with s = 1/c, and multiplies it by s as (a*s - b*0) + (a*0 + b*s) i.  For
-    finite a and b both are a*s + b*s i, so ``*= 1/(2h)`` gives the doubles
-    of ``/= 2h`` up to the sign of a zero, at about a fifth of the cost of
-    the complex division.
+    subtraction, ``f[lo + s : lo + s + m] - f[lo - s : lo - s + m]`` with
+    ``s`` the stride of the axis and ``m`` the size of the range.  Each
+    difference is scaled by the reciprocal 1/(2h): NumPy divides a + bi by a
+    float c as (a + b*0)*s + (b - a*0)*s i with s = 1/c, and multiplies it
+    by s as (a*s - b*0) + (a*0 + b*s) i.  For finite a and b both are
+    a*s + b*s i, so ``*= 1/(2h)`` gives the doubles of ``/= 2h`` up to the
+    sign of a zero, at about a fifth of the cost of the complex division.
+    Each position sees the same subtraction, scaling, factor i and additions
+    in the same order whatever the range, so any split of the positions
+    gives bitwise the same values.
     """
     n1, n2, n3 = comps.shape[2:]
     flat = np.ascontiguousarray(comps).reshape(4, -1)
-    s0 = n1 * n2 * n3
-    buf, diff = np.empty((2, s0), dtype=flat.dtype)
+    strides = (n1 * n2 * n3, n2 * n3, n3, 1)
     scale = 1.0 / (2.0 * spacing)
 
-    def plane(t: int, k: int, conjugate: bool) -> np.ndarray:
-        c = (t + 1) * s0
-        np.subtract(flat[k, c + s0 : c + 2 * s0], flat[k, c - s0 : c], out=buf)
+    def block(k: int, conjugate: bool, lo: int, buf, diff) -> np.ndarray:
+        m, s = buf.size, strides[0]
+        np.subtract(flat[k, lo + s : lo + s + m], flat[k, lo - s : lo - s + m], out=buf)
         np.multiply(buf, scale, out=buf)
         np.multiply(1j, buf, out=buf)
-        for r, s in ((1, n2 * n3), (2, n3), (3, 1)):
+        for r, s in zip((1, 2, 3), strides[1:]):
             j, sign = _BASIS_LEFT_MUL[r][k]
-            np.subtract(flat[j, c + s : c + s + s0], flat[j, c - s : c - s + s0], out=diff)
+            np.subtract(flat[j, lo + s : lo + s + m], flat[j, lo - s : lo - s + m], out=diff)
             np.multiply(diff, scale, out=diff)
             combine = np.add if (sign > 0) != conjugate else np.subtract
             combine(buf, diff, out=buf)
-        return buf.reshape(n1, n2, n3)[1:-1, 1:-1, 1:-1]
+        return buf
 
-    return plane
+    return block
 
 
 def fd_apply_D(grid: Grid4, conjugate: bool = False) -> Grid4:
@@ -250,23 +342,38 @@ def fd_apply_D(grid: Grid4, conjugate: bool = False) -> Grid4:
     added for the conjugated derivative (``conjugate=True``).  The input
     values, of shape (n0, n1, n2, n3, 4), may have any layout; one that is
     not component-major is copied once.  The returned grid shrinks by one
-    point on each side and is stored component-major.  The output is built
-    one time plane and one component at a time (``_fd_stencil``): every
-    difference is one contiguous subtraction over a whole flat input plane
-    into one of two reused plane buffers, whose boundary rows are discarded,
-    so a call allocates the output plus two time-plane buffers.  Each
-    element sees the same subtraction, scaling by the reciprocal 1/(2h),
-    factor i and additions in the same order whatever the blocking, so the
-    output equals a whole-grid evaluation's bitwise.
+    point on each side and is stored component-major.
+
+    ``_split_rows`` splits the interior axis-1 rows between worker threads,
+    one per CPU, when each gets at least ``_WORKER_FLOOR`` points of a time
+    plane (from 27^4 on two CPUs; smaller grids and a 1-CPU affinity run as
+    one block in the caller).  Each worker builds its rows one interior time
+    plane and one component at a time (``_fd_stencil``): every difference is
+    one contiguous subtraction over the worker's rows of a flat input plane,
+    into one of two buffers of that size, whose boundary rows of axes 2 and
+    3 are discarded.  The buffers of all workers together come to two time
+    planes, so a call allocates the output plus two time-plane buffers.
+    Every element sees the same subtraction, scaling by the reciprocal
+    1/(2h), factor i and additions in the same order whatever the split, so
+    the output equals a whole-grid evaluation's bitwise.
     """
     values = grid.values
     if min(values.shape[:4]) < 5:
         raise GridTooSmall("need at least 5 points per axis")
-    plane = _fd_stencil(np.moveaxis(values, -1, 0), grid.spacing)
-    out = np.empty((4,) + tuple(n - 2 for n in values.shape[:4]), dtype=values.dtype)
-    for t in range(out.shape[1]):
-        for k in range(4):
-            out[k, t] = plane(t, k, conjugate)
+    n0, n1, n2, n3 = values.shape[:4]
+    block = _fd_stencil(np.moveaxis(values, -1, 0), grid.spacing)
+    out = np.empty((4, n0 - 2, n1 - 2, n2 - 2, n3 - 2), dtype=values.dtype)
+    row = n2 * n3
+
+    def rows(a, b):
+        buf, diff = np.empty((2, (b - a) * row), dtype=values.dtype)
+        for t in range(n0 - 2):
+            lo = ((t + 1) * n1 + a + 1) * row
+            for k in range(4):
+                block(k, conjugate, lo, buf, diff)
+                out[k, t, a:b] = buf.reshape(b - a, n2, n3)[:, 1:-1, 1:-1]
+
+    _split_rows(rows, n1 - 2, row)
     return Grid4(grid.spacing, np.moveaxis(out, 0, -1))
 
 
@@ -393,7 +500,11 @@ def rand_complex_vec(rng, *shape: int) -> np.ndarray:
     """Real and imaginary parts uniform in [-1, 1) in one call, drawn as a
     loop of ``rand_complex_vec(rng, shape[-1])`` over the leading axes."""
     u = rng.uniform(-1, 1, (*shape[:-1], 2, shape[-1]))
-    return u[..., 0, :] + 1j * u[..., 1, :]
+    # written into the parts of one array, with no complex temporaries: the
+    # same values as u0 + 1j*u1, since a uniform part is never -0.0
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = u[..., 0, :], u[..., 1, :]
+    return out
 
 
 def _redraw(rng, count: int, draw, accept) -> np.ndarray:
@@ -1274,13 +1385,27 @@ def _current_grid(solutions, shape, spacing) -> np.ndarray:
     return fields
 
 
+# the most points that one stencil call of _fd_divergence_max covers, 256 KiB
+# of buffer: the fastest of 2^13-2^16 at 13^4 and 17^4 (2-core x86-64)
+_FD_RUN = 1 << 14
+
+
 # the largest |temporal component| of fd_apply_D(J, conjugate=True), bitwise,
-# with J the (4, n0, n1, n2, n3) current grids: the plane stencil forms
-# component 0 alone, where fd_apply_D forms all four
+# with J the (4, n0, n1, n2, n3) current grids: the stencil forms component 0
+# alone, where fd_apply_D forms all four, over runs of consecutive interior
+# time planes of at most _FD_RUN points (or one plane), one range per run
 def _fd_divergence_max(fields, spacing):
-    plane = _fd_stencil(fields, spacing)
-    plane_max = [np.max(np.abs(plane(t, 0, True))) for t in range(fields.shape[1] - 2)]
-    return float(np.max(plane_max))
+    n0, n1, n2, n3 = fields.shape[1:]
+    plane = n1 * n2 * n3
+    run = min(n0 - 2, max(1, _FD_RUN // plane))
+    block = _fd_stencil(fields, spacing)
+    buf, diff = np.empty((2, run * plane), dtype=fields.dtype)
+    worst = []
+    for t in range(0, n0 - 2, run):
+        m = min(run, n0 - 2 - t) * plane
+        planes = block(0, True, (t + 1) * plane, buf[:m], diff[:m])
+        worst.append(np.max(np.abs(planes.reshape(-1, n1, n2, n3)[:, 1:-1, 1:-1, 1:-1])))
+    return float(np.max(worst))
 
 
 def _convergence_gap(error, side: int, h: float) -> float:

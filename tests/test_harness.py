@@ -141,6 +141,78 @@ def test_grids_are_component_major_accurate_and_small():
     assert peak <= 1.05 * out.values.nbytes
 
 
+def _workers(monkeypatch, count):
+    """Split every grid kernel between ``count`` workers, down to one row;
+    one worker is the serial path."""
+    monkeypatch.setattr(hz, "_cpu_count", lambda: count)
+    monkeypatch.setattr(hz, "_WORKER_FLOOR", 1)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_parallel_grid_kernels_are_bitwise_serial(monkeypatch, workers):
+    rng = np.random.default_rng(29)
+    sampled = hz.sample_quat_mode(_AMPLITUDE, _ENERGY, _MOMENTUM, (11,) * 4, _SPACING)
+    grids = [
+        # the minimal grid: 3 interior rows, fewer than 8 workers
+        Grid4(0.1, rng.normal(size=(5,) * 4 + (4,)) + 1j * rng.normal(size=(5,) * 4 + (4,))),
+        # 7 interior rows, divisible by neither 2 nor 3 workers
+        Grid4(0.1, rng.normal(size=(6, 9, 7, 5, 4)) + 1j * rng.normal(size=(6, 9, 7, 5, 4))),
+        # a strided view, copied once into the flat layout
+        Grid4(_SPACING, sampled.values[::2, 1:, ::-1, 1:-1]),
+        sampled,
+    ]
+    shapes = [(5,) * 4, (6, 9, 7, 5), (7, 11, 6, 5), (6, 4, 5, 5)]
+
+    def run():
+        fd = [fd_apply_D(grid, conjugate).values.tobytes() for grid in grids
+              for conjugate in (False, True)]
+        modes = [hz.sample_quat_mode(_AMPLITUDE, _ENERGY, _MOMENTUM, shape, _SPACING)
+                 for shape in shapes]
+        return fd, [mode.values.tobytes() for mode in modes]
+
+    _workers(monkeypatch, 1)
+    serial = run()
+    # the serial mode is the whole-grid product
+    comps = np.array(_AMPLITUDE.components)[:, None, None, None, None]
+    for shape, got in zip(shapes, serial[1]):
+        wave = hz._plane_wave(_ENERGY, _MOMENTUM, shape, _SPACING)
+        assert got == np.moveaxis(comps * wave, 0, -1).tobytes()
+    _workers(monkeypatch, workers)
+    assert run() == serial
+
+
+def test_parallel_fd_apply_D_allocates_two_planes(monkeypatch):
+    # each worker holds buffers of its own rows only
+    _workers(monkeypatch, 3)
+    grid = hz.sample_quat_mode(_AMPLITUDE, _ENERGY, _MOMENTUM, (25,) * 4, _SPACING)
+    tracemalloc.start()
+    try:
+        out = fd_apply_D(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * out.values.nbytes
+
+
+def test_parallel_workers_keep_the_callers_errstate(monkeypatch):
+    rng = np.random.default_rng(31)
+    values = rng.normal(size=(6, 9, 7, 5, 4)) + 1j * rng.normal(size=(6, 9, 7, 5, 4))
+    # infinite points on the last rows only, which a thread computes and the
+    # caller does not: inf - inf there is invalid
+    values[:, -3:] = np.inf
+    grid = Grid4(0.1, values)
+    _workers(monkeypatch, 1)
+    with np.errstate(invalid="ignore"):
+        serial = fd_apply_D(grid).values
+    assert np.isnan(serial).any()
+    _workers(monkeypatch, 2)
+    with np.errstate(invalid="ignore"):
+        assert fd_apply_D(grid).values.tobytes() == serial.tobytes()
+    # pytest turns the thread's warning into an error, raised in the caller
+    with pytest.raises(RuntimeWarning, match="invalid value"):
+        fd_apply_D(grid)
+
+
 @pytest.mark.parametrize(
     "field, energy, momentum",
     [
@@ -195,6 +267,18 @@ def test_fd_divergence_max_is_the_temporal_component_of_fd_apply_D():
         grid = Grid4(_SPACING, np.moveaxis(field, 0, -1))
         want = np.max(np.abs(fd_apply_D(grid, conjugate=True).values[..., 0]))
         assert hz._fd_divergence_max(field, _SPACING) == want
+
+
+@pytest.mark.parametrize("run_planes", [0, 1, 3, 5, 9])
+def test_fd_divergence_max_takes_runs_of_any_length(monkeypatch, run_planes):
+    # 5 interior time planes in runs of one (below one plane), 3 + 2 and all
+    rng = np.random.default_rng(37)
+    field = rng.normal(size=(4, 7, 9, 7, 5)) + 1j * rng.normal(size=(4, 7, 9, 7, 5))
+    field[:, -2] *= 10.0  # the largest value on the last interior plane
+    monkeypatch.setattr(hz, "_FD_RUN", run_planes * 9 * 7 * 5)
+    grid = Grid4(_SPACING, np.moveaxis(field, 0, -1))
+    want = np.max(np.abs(fd_apply_D(grid, conjugate=True).values[..., 0]))
+    assert hz._fd_divergence_max(field, _SPACING) == want
 
 
 def test_unknown_suite():

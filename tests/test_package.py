@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import qdirac
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # the top-level names: the __all__ of the library modules and ten of harness
 TOP_LEVEL = {
@@ -29,3 +35,34 @@ def test_top_level_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert names == TOP_LEVEL
+
+
+# a fresh import of every module starts no thread and leaves no worker,
+# pool or executor behind: the grid kernels start their threads per call
+_IMPORT_PROBE = """
+import threading
+before = threading.enumerate()
+import qdirac, qdirac.cli
+import concurrent.futures, multiprocessing.pool, sys
+assert threading.enumerate() == before, threading.enumerate()
+workers = (threading.Thread, concurrent.futures.Executor, multiprocessing.pool.Pool)
+for key, module in sorted(sys.modules.items()):
+    if key.split(".")[0] == "qdirac":
+        for name, value in vars(module).items():
+            assert not isinstance(value, workers), (key, name)
+"""
+
+
+def test_import_starts_no_worker():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
